@@ -129,6 +129,15 @@ shardIndices(size_t n, int index, int count)
     return out;
 }
 
+OperatingPoint
+jobPoint(const Machine &machine, const CampaignJob &job)
+{
+    OperatingPoint op = machine.operatingPoint(job.freqGhz);
+    if (job.vdd > 0.0)
+        op.voltage = job.vdd;
+    return op;
+}
+
 namespace
 {
 
@@ -141,18 +150,6 @@ jobCosts(const std::vector<CampaignJob> &jobs)
     for (const auto &job : jobs)
         costs.push_back(job.cost);
     return costs;
-}
-
-/** The operating point a job measures at: the machine's curve
- * point at the job's frequency, with the voltage overridden when
- * the job sweeps an off-curve vdd. */
-OperatingPoint
-jobPoint(const Machine &machine, const CampaignJob &job)
-{
-    OperatingPoint op = machine.operatingPoint(job.freqGhz);
-    if (job.vdd > 0.0)
-        op.voltage = job.vdd;
-    return op;
 }
 
 /** The jobs at @p indices, in index order. */
@@ -422,27 +419,19 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
     // only on the SMT mode and the effective memory latency; core
     // count enters through counter scaling and the contention
     // latency). Groups never span SMT modes because the memo
-    // cannot share across them. With the fast path disabled
-    // (MPROBE_NO_BATCH=1) every job forms its own group and runs
-    // the legacy engine — the batched-identity reference.
+    // cannot share across them.
     std::map<std::pair<size_t, int>, size_t> group_of;
     std::vector<std::vector<size_t>> groups;
-    if (simFastPathEnabled()) {
-        for (size_t i = 0; i < jobs.size(); ++i) {
-            auto key = std::make_pair(jobs[i].workload,
-                                      jobs[i].config.smt);
-            auto it = group_of.find(key);
-            if (it == group_of.end()) {
-                group_of.emplace(key, groups.size());
-                groups.push_back({i});
-            } else {
-                groups[it->second].push_back(i);
-            }
-        }
-    } else {
-        groups.reserve(jobs.size());
-        for (size_t i = 0; i < jobs.size(); ++i)
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        auto key =
+            std::make_pair(jobs[i].workload, jobs[i].config.smt);
+        auto it = group_of.find(key);
+        if (it == group_of.end()) {
+            group_of.emplace(key, groups.size());
             groups.push_back({i});
+        } else {
+            groups[it->second].push_back(i);
+        }
     }
 
     // Longest-first draining at both levels: the costliest groups

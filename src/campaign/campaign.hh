@@ -128,6 +128,15 @@ uint64_t campaignJobKey(const Program &prog, const ChipConfig &cfg,
                         double vdd_volts = 0.0);
 
 /**
+ * The operating point @p job measures at: the machine's curve point
+ * at the job's frequency, with the voltage overridden when the job
+ * sweeps an off-curve vdd. Every executor builds its points here,
+ * so a vdds sweep measures (and caches) the same point on every
+ * path.
+ */
+OperatingPoint jobPoint(const Machine &machine, const CampaignJob &job);
+
+/**
  * Fingerprint of everything in (@p spec, machine) that determines a
  * campaign's job keys: workload sources and generation knobs,
  * configurations, salt and the machine fingerprint — but not

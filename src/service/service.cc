@@ -250,11 +250,9 @@ CampaignService::updateStatus()
                     c.workloads[job.workload].program;
                 uint64_t salt = hashCombine(job.key, 0x5a17ull);
                 samples[j] = makeSample(
-                    prog.name,
-                    c.machine.run(
-                        prog, job.config,
-                        c.machine.operatingPoint(job.freqGhz),
-                        salt));
+                    prog.name, c.machine.run(prog, job.config,
+                                             jobPoint(c.machine, job),
+                                             salt));
                 cache.store(job.key, samples[j]);
             }
             std::ostringstream csv, json;
@@ -330,11 +328,9 @@ CampaignService::drainLoop()
                     c.workloads[job.workload].program;
                 uint64_t salt = hashCombine(job.key, 0x5a17ull);
                 s = makeSample(
-                    prog.name,
-                    c.machine.run(
-                        prog, job.config,
-                        c.machine.operatingPoint(job.freqGhz),
-                        salt));
+                    prog.name, c.machine.run(prog, job.config,
+                                             jobPoint(c.machine, job),
+                                             salt));
                 cache.store(job.key, s);
             }
             jspan.note("cost_est", job.cost);

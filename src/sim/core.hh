@@ -9,7 +9,13 @@
  * the cache hierarchy for memory operations. All SMT threads of the
  * paper's deployments run the same micro-benchmark, one copy pinned
  * per hardware thread, so the core executes nThreads copies of one
- * Program against a shared cache hierarchy.
+ * Program against a shared cache hierarchy; a heterogeneous co-run
+ * gives each hardware thread its own Program instead.
+ *
+ * One engine runs every simulation: simulateCoreDecoded, over the
+ * structure-of-arrays DecodedProgram. simulateCore and
+ * simulateCoreHetero validate their programs, decode them and call
+ * it.
  *
  * Because every micro-benchmark is an endless loop, the core reaches
  * a periodic steady state; the simulator warms up for a few
@@ -76,7 +82,8 @@ struct CoreSimOptions
 };
 
 /**
- * Simulate @p threads copies of @p prog on one core.
+ * Simulate @p threads copies of @p prog on one core (decode, then
+ * simulateCoreDecoded).
  *
  * @param exec ground-truth timing/energy tables for prog's ISA
  * @param prog the micro-benchmark loop
@@ -92,7 +99,10 @@ CoreResult simulateCore(const ExecModel &exec, const Program &prog,
  * different) program per hardware thread — the multi-threaded
  * stressmark exploration the paper leaves as future work (Section
  * 6, after Ganesan et al.'s MAMPO). All programs must share one
- * ISA; 1, 2 or 4 threads.
+ * ISA; 1, 2 or 4 threads. The programs decode into one
+ * DecodedProgram with a slot range per thread, so a co-run takes
+ * the same engine as simulateCore: passing one program N times
+ * yields exactly simulateCore(exec, prog, N, opts).
  */
 CoreResult simulateCoreHetero(
     const ExecModel &exec,
@@ -129,13 +139,15 @@ class SimScratch
 };
 
 /**
- * Simulate @p threads copies of a decoded program on one core:
- * the batched-evaluation twin of simulateCore. Bit-identical to
- * simulateCore on the program the decode came from — same cycle
- * walk, same counter arithmetic in the same order — while touching
- * no ExecModel, Isa or heap state in its inner loop. @p opts must
- * carry the same mispredict penalty and transition gate the decode
- * baked in (checked).
+ * The core simulator: run @p threads hardware threads over a
+ * decoded program on one core. A single-range decode runs one copy
+ * per thread; a co-run decode (one slot range per thread, see
+ * DecodedProgram::threadSlots) runs thread i over range i and must
+ * carry exactly @p threads ranges. The inner loop touches no
+ * ExecModel, Isa or heap state, and is bit-identical to the
+ * per-Program reference loop kept in tests/reference_core.hh.
+ * @p opts must carry the same mispredict penalty and transition
+ * gate the decode baked in (checked).
  */
 CoreResult simulateCoreDecoded(const DecodedProgram &dec,
                                int threads,

@@ -407,102 +407,154 @@ ExecModel::info(int op) const
     return table[static_cast<size_t>(op)];
 }
 
+namespace
+{
+
+/**
+ * Decode @p count programs end to end into @p out, one slot range
+ * each: the shared body of both ExecModel::decode overloads.
+ */
+void
+decodeThreads(const ExecModel &exec, const Program *const *progs,
+              size_t count, int mispredict_penalty,
+              double transition_gate_nj, DecodedProgram &out)
+{
+    size_t total = 0;
+    size_t total_streams = 0;
+    for (size_t k = 0; k < count; ++k) {
+        if (!progs[k]->isa)
+            panic("simulateCore: program without ISA");
+        total += progs[k]->body.size();
+        total_streams += progs[k]->streams.size();
+    }
+    out.name = progs[0]->name;
+    out.bodySize = total;
+    out.mispredictPenalty = mispredict_penalty;
+    out.transitionGateNj = transition_gate_nj;
+
+    out.depSrc.resize(total);
+    out.stream.resize(total);
+    out.unitFirst.resize(total);
+    out.unitSecond.resize(total);
+    out.pipesNeeded.resize(total);
+    out.extraFxuOps.resize(total);
+    out.flags.resize(total);
+    out.highEnergy.resize(total);
+    out.issueInterval.resize(total);
+    out.latency.resize(total);
+    out.actEnergyNj.resize(total);
+    out.mispredictInc.resize(total);
+    out.streamLines.clear();
+    out.streamOffset.resize(total_streams);
+    out.streamLen.resize(total_streams);
+    out.threadSlots.clear();
+
+    size_t base = 0;
+    size_t stream_base = 0;
+    for (size_t k = 0; k < count; ++k) {
+        const Program &prog = *progs[k];
+        const size_t n = prog.body.size();
+        for (size_t i = 0; i < n; ++i) {
+            const size_t s = base + i;
+            const ProgInst &pi = prog.body[i];
+            const ExecInfo &ei = exec.info(pi.op);
+            const InstrDef &idef = prog.isa->at(pi.op);
+
+            if (pi.depDist > 0) {
+                size_t d = static_cast<size_t>(pi.depDist) % n;
+                out.depSrc[s] =
+                    static_cast<int32_t>(base + (i + n - d) % n);
+            } else {
+                out.depSrc[s] = -1;
+            }
+            out.stream[s] =
+                pi.stream >= 0
+                    ? static_cast<int32_t>(stream_base) + pi.stream
+                    : pi.stream;
+
+            // Allowed units in ascending order, matching the unit
+            // scan of the reference simulator (at most two: the
+            // dual-issue integer category).
+            int8_t first = -1, second = -1;
+            for (int u = 0; u < kNumUnits; ++u) {
+                if (!ei.allows(static_cast<Unit>(u)))
+                    continue;
+                if (first < 0)
+                    first = static_cast<int8_t>(u);
+                else
+                    second = static_cast<int8_t>(u);
+            }
+            out.unitFirst[s] = first;
+            out.unitSecond[s] = second;
+            out.pipesNeeded[s] = static_cast<int8_t>(ei.pipesNeeded);
+            out.extraFxuOps[s] = static_cast<int8_t>(ei.extraFxuOps);
+
+            uint8_t fl = 0;
+            if (ei.isMem)
+                fl |= DecodedProgram::kMem;
+            if (ei.isStore)
+                fl |= DecodedProgram::kStore;
+            if (ei.usesVsuSteering)
+                fl |= DecodedProgram::kVsuSteer;
+            if (idef.isBranch() && pi.takenRate > 0.0f &&
+                pi.takenRate < 1.0f)
+                fl |= DecodedProgram::kCondBranch;
+            out.flags[s] = fl;
+
+            out.highEnergy[s] = ei.energyNj >= transition_gate_nj;
+            out.issueInterval[s] = ei.issueInterval;
+            out.latency[s] = ei.latency;
+            // Exactly the reference simulator's expression, so the
+            // precomputed product is the bit-identical double.
+            double act =
+                1.0 - ei.toggleSens + ei.toggleSens * pi.toggle;
+            out.actEnergyNj[s] = ei.energyNj * act;
+            if (fl & DecodedProgram::kCondBranch) {
+                double p = pi.takenRate;
+                out.mispredictInc[s] =
+                    mispredict_penalty * 2.0 * p * (1.0 - p);
+            } else {
+                out.mispredictInc[s] = 0.0;
+            }
+        }
+
+        for (size_t j = 0; j < prog.streams.size(); ++j) {
+            const MemStream &ms = prog.streams[j];
+            out.streamOffset[stream_base + j] =
+                static_cast<uint32_t>(out.streamLines.size());
+            out.streamLen[stream_base + j] =
+                static_cast<uint32_t>(ms.lines.size());
+            out.streamLines.insert(out.streamLines.end(),
+                                   ms.lines.begin(), ms.lines.end());
+        }
+        out.threadSlots.push_back({static_cast<uint32_t>(base),
+                                   static_cast<uint32_t>(base + n)});
+        base += n;
+        stream_base += prog.streams.size();
+    }
+}
+
+} // namespace
+
 void
 ExecModel::decode(const Program &prog, int mispredict_penalty,
                   double transition_gate_nj,
                   DecodedProgram &out) const
 {
-    if (!prog.isa)
-        panic("simulateCore: program without ISA");
-    const size_t n = prog.body.size();
-    out.name = prog.name;
-    out.bodySize = n;
-    out.mispredictPenalty = mispredict_penalty;
-    out.transitionGateNj = transition_gate_nj;
+    const Program *p = &prog;
+    decodeThreads(*this, &p, 1, mispredict_penalty,
+                  transition_gate_nj, out);
+}
 
-    out.depSrc.resize(n);
-    out.stream.resize(n);
-    out.unitFirst.resize(n);
-    out.unitSecond.resize(n);
-    out.pipesNeeded.resize(n);
-    out.extraFxuOps.resize(n);
-    out.flags.resize(n);
-    out.highEnergy.resize(n);
-    out.issueInterval.resize(n);
-    out.latency.resize(n);
-    out.actEnergyNj.resize(n);
-    out.mispredictInc.resize(n);
-
-    for (size_t s = 0; s < n; ++s) {
-        const ProgInst &pi = prog.body[s];
-        const ExecInfo &ei = info(pi.op);
-        const InstrDef &idef = prog.isa->at(pi.op);
-
-        out.depSrc[s] =
-            pi.depDist > 0
-                ? static_cast<int32_t>(
-                      (s + n - static_cast<size_t>(pi.depDist) % n)
-                      % n)
-                : -1;
-        out.stream[s] = pi.stream;
-
-        // Allowed units in ascending order, matching the unit scan
-        // of the reference simulator (at most two: the dual-issue
-        // integer category).
-        int8_t first = -1, second = -1;
-        for (int u = 0; u < kNumUnits; ++u) {
-            if (!ei.allows(static_cast<Unit>(u)))
-                continue;
-            if (first < 0)
-                first = static_cast<int8_t>(u);
-            else
-                second = static_cast<int8_t>(u);
-        }
-        out.unitFirst[s] = first;
-        out.unitSecond[s] = second;
-        out.pipesNeeded[s] = static_cast<int8_t>(ei.pipesNeeded);
-        out.extraFxuOps[s] = static_cast<int8_t>(ei.extraFxuOps);
-
-        uint8_t fl = 0;
-        if (ei.isMem)
-            fl |= DecodedProgram::kMem;
-        if (ei.isStore)
-            fl |= DecodedProgram::kStore;
-        if (ei.usesVsuSteering)
-            fl |= DecodedProgram::kVsuSteer;
-        if (idef.isBranch() && pi.takenRate > 0.0f &&
-            pi.takenRate < 1.0f)
-            fl |= DecodedProgram::kCondBranch;
-        out.flags[s] = fl;
-
-        out.highEnergy[s] = ei.energyNj >= transition_gate_nj;
-        out.issueInterval[s] = ei.issueInterval;
-        out.latency[s] = ei.latency;
-        // Exactly the reference simulator's expression, so the
-        // precomputed product is the bit-identical double.
-        double act =
-            1.0 - ei.toggleSens + ei.toggleSens * pi.toggle;
-        out.actEnergyNj[s] = ei.energyNj * act;
-        if (fl & DecodedProgram::kCondBranch) {
-            double p = pi.takenRate;
-            out.mispredictInc[s] =
-                mispredict_penalty * 2.0 * p * (1.0 - p);
-        } else {
-            out.mispredictInc[s] = 0.0;
-        }
-    }
-
-    out.streamLines.clear();
-    out.streamOffset.resize(prog.streams.size());
-    out.streamLen.resize(prog.streams.size());
-    for (size_t i = 0; i < prog.streams.size(); ++i) {
-        const MemStream &ms = prog.streams[i];
-        out.streamOffset[i] =
-            static_cast<uint32_t>(out.streamLines.size());
-        out.streamLen[i] = static_cast<uint32_t>(ms.lines.size());
-        out.streamLines.insert(out.streamLines.end(),
-                               ms.lines.begin(), ms.lines.end());
-    }
+void
+ExecModel::decode(const std::vector<const Program *> &thread_progs,
+                  int mispredict_penalty, double transition_gate_nj,
+                  DecodedProgram &out) const
+{
+    if (thread_progs.empty())
+        panic("ExecModel::decode: no programs");
+    decodeThreads(*this, thread_progs.data(), thread_progs.size(),
+                  mispredict_penalty, transition_gate_nj, out);
 }
 
 } // namespace mprobe

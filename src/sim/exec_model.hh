@@ -95,13 +95,23 @@ class ExecModel
     /**
      * Decode @p prog into its structure-of-arrays form for
      * simulateCoreDecoded, baking the two CoreSimOptions knobs
-     * that enter per-instruction constants. @p out is reused (its
-     * vectors keep their capacity), so a caller decoding many
-     * programs through one DecodedProgram performs no steady-state
-     * allocation.
+     * that enter per-instruction constants. The result holds one
+     * slot range, which every hardware thread runs. @p out is
+     * reused (its vectors keep their capacity), so a caller
+     * decoding many programs through one DecodedProgram performs no
+     * steady-state allocation.
      */
     void decode(const Program &prog, int mispredict_penalty,
                 double transition_gate_nj,
+                DecodedProgram &out) const;
+
+    /**
+     * Decode a heterogeneous SMT co-run: @p thread_progs[i] becomes
+     * hardware thread i's slot range of @p out. A single program
+     * decodes exactly as the one-program overload does.
+     */
+    void decode(const std::vector<const Program *> &thread_progs,
+                int mispredict_penalty, double transition_gate_nj,
                 DecodedProgram &out) const;
 
     /** Number of pipes of each unit on one core. */

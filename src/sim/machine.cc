@@ -6,10 +6,7 @@
 #include "sim/machine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -19,40 +16,6 @@
 
 namespace mprobe
 {
-
-namespace
-{
-
-/** -1 = follow MPROBE_NO_BATCH, 0/1 = forced by setSimFastPath. */
-std::atomic<int> fastPathOverride{-1};
-
-bool
-envDisablesFastPath()
-{
-    static const bool disabled = [] {
-        const char *v = std::getenv("MPROBE_NO_BATCH");
-        return v && *v && std::strcmp(v, "0") != 0;
-    }();
-    return disabled;
-}
-
-} // namespace
-
-bool
-simFastPathEnabled()
-{
-    int forced = fastPathOverride.load(std::memory_order_relaxed);
-    if (forced >= 0)
-        return forced != 0;
-    return !envDisablesFastPath();
-}
-
-void
-setSimFastPath(bool enabled)
-{
-    fastPathOverride.store(enabled ? 1 : 0,
-                           std::memory_order_relaxed);
-}
 
 std::vector<ChipConfig>
 ChipConfig::all()
@@ -217,39 +180,6 @@ RunResult
 Machine::run(const Program &prog, const ChipConfig &cfg,
              const OperatingPoint &op, uint64_t salt) const
 {
-    return simFastPathEnabled() ? runDecoded(prog, cfg, op, salt)
-                                : runLegacy(prog, cfg, op, salt);
-}
-
-RunResult
-Machine::runLegacy(const Program &prog, const ChipConfig &cfg,
-                   const OperatingPoint &op, uint64_t salt) const
-{
-    validateRun(prog, cfg, op);
-
-    // Main-memory latency is fixed in nanoseconds; its cycle count
-    // follows the core clock. Core/cache latencies are clock-domain
-    // cycles and stay put. lat_scale is exactly 1.0 at the nominal
-    // point, so the pre-DVFS path is reproduced bit for bit.
-    double lat_scale = op.freqGhz / params.clockGhz;
-
-    // First pass at the uncontended memory latency.
-    CoreSimOptions opts = simOpts;
-    opts.memLatency = firstPassMemLatency(lat_scale);
-    CoreResult core = simulateCore(exec, prog, cfg.smt, opts);
-
-    int contended = contendedMemLatency(core, cfg, lat_scale);
-    if (contended > 0) {
-        opts.memLatency = contended;
-        core = simulateCore(exec, prog, cfg.smt, opts);
-    }
-    return finishRun(prog, cfg, op, salt, core);
-}
-
-RunResult
-Machine::runDecoded(const Program &prog, const ChipConfig &cfg,
-                    const OperatingPoint &op, uint64_t salt) const
-{
     validateRun(prog, cfg, op);
 
     // Decoding a ~1 K-instruction body is noise next to the
@@ -262,6 +192,11 @@ Machine::runDecoded(const Program &prog, const ChipConfig &cfg,
     exec.decode(prog, simOpts.mispredictPenalty,
                 simOpts.transitionGateNj, decoded);
 
+    // Main-memory latency is fixed in nanoseconds; its cycle count
+    // follows the core clock. Core/cache latencies are clock-domain
+    // cycles and stay put. lat_scale is exactly 1.0 at the nominal
+    // point, so the pre-DVFS path is reproduced bit for bit. The
+    // first pass runs at the uncontended memory latency.
     double lat_scale = op.freqGhz / params.clockGhz;
     CoreSimOptions opts = simOpts;
     opts.memLatency = firstPassMemLatency(lat_scale);
@@ -335,9 +270,6 @@ Machine::finishRun(const Program &prog, const ChipConfig &cfg,
 Machine::Batch::Batch(const Machine &machine, const Program &p)
     : m(machine), prog(p)
 {
-    // Decoded even when the fast path is currently disabled: the
-    // toggle is dynamic (tests flip it), so run() must never see a
-    // stale decode.
     obs::TraceSpan span("sim.decode");
     span.note("instructions", static_cast<double>(p.size()));
     m.exec.decode(p, m.simOpts.mispredictPenalty,
@@ -376,8 +308,6 @@ RunResult
 Machine::Batch::run(const ChipConfig &cfg, const OperatingPoint &op,
                     uint64_t salt)
 {
-    if (!simFastPathEnabled())
-        return m.runLegacy(prog, cfg, op, salt);
     m.validateRun(prog, cfg, op);
 
     double lat_scale = op.freqGhz / m.params.clockGhz;
@@ -387,18 +317,6 @@ Machine::Batch::run(const ChipConfig &cfg, const OperatingPoint &op,
     if (contended > 0)
         core = &simAt(cfg.smt, contended);
     return m.finishRun(prog, cfg, op, salt, *core);
-}
-
-std::vector<RunResult>
-Machine::runBatch(const Program &p,
-                  const std::vector<RunRequest> &points) const
-{
-    Batch batch(*this, p);
-    std::vector<RunResult> out;
-    out.reserve(points.size());
-    for (const RunRequest &pt : points)
-        out.push_back(batch.run(pt.config, pt.op, pt.salt));
-    return out;
 }
 
 uint64_t

@@ -97,19 +97,6 @@ struct GroundTruthParams
     /**@}*/
 };
 
-/**
- * One point of a batched evaluation: a CMP/SMT configuration, an
- * operating point and the per-measurement salt. Campaigns derive
- * the salt from each job's content hash, so a batch carries it per
- * point rather than sharing one.
- */
-struct RunRequest
-{
-    ChipConfig config;
-    OperatingPoint op;
-    uint64_t salt = 0;
-};
-
 /** Everything one deployment/measurement produces. */
 struct RunResult
 {
@@ -222,10 +209,9 @@ class Machine
      * (the core-level simulation depends on the SMT mode and the
      * effective memory latency alone — core count enters through
      * counter scaling and the contention latency). Results are
-     * bit-identical to per-job Machine::run. Not thread-safe; one
-     * Batch per worker thread. When the fast path is disabled
-     * (MPROBE_NO_BATCH / setSimFastPath) every request falls back
-     * to the legacy per-run engine.
+     * bit-identical to per-job Machine::run, which runs the same
+     * engine without the memo. Not thread-safe; one Batch per
+     * worker thread.
      */
     class Batch
     {
@@ -254,16 +240,6 @@ class Machine
 
         const CoreResult &simAt(int smt, int lat_mem);
     };
-
-    /**
-     * Evaluate every request of @p points against @p prog through
-     * one Batch, in order. points[i] yields exactly what
-     * run(prog, points[i].config, points[i].op, points[i].salt)
-     * yields, decode and core simulations shared across points.
-     */
-    std::vector<RunResult>
-    runBatch(const Program &prog,
-             const std::vector<RunRequest> &points) const;
 
     /** Sensor reading with no workload: workload-independent power. */
     double idleWatts(const ChipConfig &cfg, uint64_t salt = 0) const;
@@ -331,26 +307,7 @@ class Machine
     RunResult finishRun(const Program &prog, const ChipConfig &cfg,
                         const OperatingPoint &op, uint64_t salt,
                         const CoreResult &core) const;
-    /** The pre-batching reference engine (simulateCore). */
-    RunResult runLegacy(const Program &prog, const ChipConfig &cfg,
-                        const OperatingPoint &op,
-                        uint64_t salt) const;
-    /** Decode-once engine for a single run (thread-local scratch). */
-    RunResult runDecoded(const Program &prog, const ChipConfig &cfg,
-                         const OperatingPoint &op,
-                         uint64_t salt) const;
 };
-
-/**
- * True when run()/Batch use the decoded fast path (the default).
- * The MPROBE_NO_BATCH environment variable (non-empty, not "0")
- * forces the legacy per-run engine everywhere — CI's batched-
- * identity smoke diffs the two paths byte for byte.
- */
-bool simFastPathEnabled();
-
-/** Test hook: override the fast-path choice for this process. */
-void setSimFastPath(bool enabled);
 
 } // namespace mprobe
 

@@ -71,19 +71,36 @@ struct ProgInst
  * that feed per-instruction constants (mispredict penalty and
  * transition gate); the simulator cross-checks them so a decoded
  * program can never silently run under drifted options.
+ *
+ * A heterogeneous SMT co-run decodes one program per hardware
+ * thread into a single DecodedProgram: the programs' slots and
+ * streams are laid end to end, and threadSlots gives each thread
+ * its own slot range.
  */
 struct DecodedProgram
 {
-    /** Program name (panic messages, sensor seeds). */
+    /** A thread's loop body: body slots [begin, end). */
+    struct SlotRange
+    {
+        uint32_t begin = 0;
+        uint32_t end = 0;
+    };
+
+    /** Program name (panic messages, sensor seeds); the first
+     * thread's program for a co-run. */
     std::string name;
-    /** Static loop-body length. */
+    /** Static body slots of all decoded programs. */
     size_t bodySize = 0;
+    /** One range every hardware thread runs (a single program), or
+     * one range per hardware thread (a heterogeneous co-run). */
+    std::vector<SlotRange> threadSlots;
 
     /** @name Per body slot (all vectors bodySize long) */
     /**@{*/
-    /** Resolved dependency source slot, -1 when independent. */
+    /** Resolved dependency source slot (within the slot's own
+     * range), -1 when independent. */
     std::vector<int32_t> depSrc;
-    /** Memory stream id, -1 for non-memory slots. */
+    /** Flattened memory stream id, -1 for non-memory slots. */
     std::vector<int32_t> stream;
     /** Lowest allowed execution unit. */
     std::vector<int8_t> unitFirst;

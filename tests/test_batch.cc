@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the decode-once batched execution engine: the arena
- * allocator, Machine::Batch / runBatch bit-identity against the
- * legacy per-run engine, and campaigns routed through the batched
- * path.
+ * allocator, Machine::Batch bit-identity against per-run
+ * Machine::run, and campaigns routed through the batched path.
+ * The core simulator itself is checked against the reference loop
+ * in test_core_identity.
  */
 
 #include <gtest/gtest.h>
@@ -48,12 +49,6 @@ memLoop(HitLevel lvl)
     p.name = "b-mem-loop";
     return p;
 }
-
-/** Restore the default engine choice when a test returns. */
-struct FastPathGuard
-{
-    ~FastPathGuard() { setSimFastPath(true); }
-};
 
 /** Every field of two RunResults must match to the bit. */
 void
@@ -170,11 +165,10 @@ TEST(SimArena, GrowsAcrossChunksKeepingOldPointersValid)
 }
 
 // ---------------------------------------------------------------
-// Machine::Batch vs the legacy engine
+// Machine::Batch vs per-run Machine::run
 
-TEST(Batch, MatchesLegacyOnEveryConfig)
+TEST(Batch, MatchesPerRunOnEveryConfig)
 {
-    FastPathGuard guard;
     Machine m(isa);
     Program p = loopOf("add", 256, 0);
     const uint64_t salt = 7;
@@ -182,10 +176,8 @@ TEST(Batch, MatchesLegacyOnEveryConfig)
     for (double f : {0.0, 2.0, 3.5}) {
         OperatingPoint op = m.operatingPoint(f);
         std::vector<RunResult> ref;
-        setSimFastPath(false);
         for (const ChipConfig &cfg : ChipConfig::all())
             ref.push_back(m.run(p, cfg, op, salt));
-        setSimFastPath(true);
         Machine::Batch batch(m, p);
         auto cfgs = ChipConfig::all();
         for (size_t i = 0; i < cfgs.size(); ++i) {
@@ -201,9 +193,8 @@ TEST(Batch, MatchesLegacyOnEveryConfig)
     }
 }
 
-TEST(Batch, MatchesLegacyWithMemoryContention)
+TEST(Batch, MatchesPerRunWithMemoryContention)
 {
-    FastPathGuard guard;
     Machine m(isa);
     Program p = memLoop(HitLevel::Mem);
     const uint64_t salt = 11;
@@ -212,11 +203,9 @@ TEST(Batch, MatchesLegacyWithMemoryContention)
 
     for (double f : {0.0, 2.0, 3.5}) {
         OperatingPoint op = m.operatingPoint(f);
-        setSimFastPath(false);
         std::vector<RunResult> ref;
         for (const ChipConfig &cfg : cfgs)
             ref.push_back(m.run(p, cfg, op, salt));
-        setSimFastPath(true);
         Machine::Batch batch(m, p);
         for (size_t i = 0; i < cfgs.size(); ++i) {
             SCOPED_TRACE(cfgs[i].label() + " @ " +
@@ -227,25 +216,24 @@ TEST(Batch, MatchesLegacyWithMemoryContention)
     }
 }
 
-TEST(Batch, RunBatchMatchesPerRun)
+TEST(Batch, MixedRequestsMatchPerRun)
 {
+    // One Batch serving a mixed sequence of configurations,
+    // operating points and per-request salts, as the campaign
+    // executor drives it.
     Machine m(isa);
     Program p = memLoop(HitLevel::L3);
-    std::vector<RunRequest> points;
+    Machine::Batch batch(m, p);
     uint64_t salt = 100;
     for (const ChipConfig &cfg :
          {ChipConfig{1, 1}, ChipConfig{4, 2}, ChipConfig{8, 4}})
-        for (double f : {0.0, 2.5})
-            points.push_back({cfg, m.operatingPoint(f), salt++});
-
-    std::vector<RunResult> batched = m.runBatch(p, points);
-    ASSERT_EQ(batched.size(), points.size());
-    for (size_t i = 0; i < points.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectSameResult(batched[i],
-                         m.run(p, points[i].config, points[i].op,
-                               points[i].salt));
-    }
+        for (double f : {0.0, 2.5}) {
+            SCOPED_TRACE(cfg.label() + " @ " + std::to_string(f));
+            OperatingPoint op = m.operatingPoint(f);
+            expectSameResult(batch.run(cfg, op, salt),
+                             m.run(p, cfg, op, salt));
+            ++salt;
+        }
 }
 
 TEST(Batch, ReuseAcrossRunsIsIdentical)
@@ -264,19 +252,16 @@ TEST(Batch, ReuseAcrossRunsIsIdentical)
 
 TEST(Batch, NominalOperatingPointCollapses)
 {
-    FastPathGuard guard;
     Machine m(isa);
     Program p = loopOf("xvmaddadp", 256, 0);
-    setSimFastPath(false);
-    RunResult legacy = m.run(p, {6, 2}, 42); // two-arg nominal
-    setSimFastPath(true);
+    RunResult nominal = m.run(p, {6, 2}, 42); // two-arg nominal
     Machine::Batch batch(m, p);
     // Explicit nominal operating point through the batched
-    // engine: bit-identical to the legacy nominal run, so cache
-    // entries keyed before DVFS (or before batching) keep
+    // engine: bit-identical to the two-argument nominal run, so
+    // cache entries keyed before DVFS (or before batching) keep
     // hitting.
     expectSameResult(batch.run({6, 2}, m.operatingPoint(), 42),
-                     legacy);
+                     nominal);
 }
 
 // ---------------------------------------------------------------
@@ -300,33 +285,38 @@ batchSpec()
 
 } // namespace
 
-TEST(CampaignBatch, LegacyColdThenBatchedWarmHitsCache)
+TEST(CampaignBatch, UnbatchedColdThenBatchedWarmHitsCache)
 {
-    FastPathGuard guard;
-    Machine m(isa);
-    std::vector<Program> progs = {loopOf("add", 128, 0),
-                                  memLoop(HitLevel::L2)};
-    std::vector<ChipConfig> cfgs = {{1, 1}, {2, 2}, {4, 1}};
-
+    Architecture arch = Architecture::get("POWER7");
+    Machine m(arch.isa(), arch.uarch().cacheGeometries(),
+              arch.uarch().clockGhz());
     CampaignSpec spec = batchSpec();
-    spec.cacheDir = freshCacheDir("xengine");
+    spec.cacheDir = freshCacheDir("xpath");
     spec.freqs = {2.0, 3.0};
 
-    // Cold legacy-engine campaign populates the cache...
-    setSimFastPath(false);
-    Campaign cold(m, spec);
-    auto legacy = cold.measure(progs, cfgs);
+    // A cold --serve campaign measures every job through per-job
+    // Machine::run and populates the cache...
+    CampaignSpec serve = spec;
+    serve.serve = true;
+    serve.claimPollSeconds = 0.05;
+    Campaign cold(m, serve);
+    Architecture arch1 = arch;
+    CampaignResult unbatched = cold.run(arch1);
     size_t files = sampleFileCount(spec.cacheDir);
-    EXPECT_EQ(files, legacy.size());
+    EXPECT_EQ(files, unbatched.samples.size());
 
-    // ... and the batched engine replays it entirely from cache:
-    // identical samples, not one new cache key.
-    setSimFastPath(true);
+    // ... and the plain executor's batched groups replay it
+    // entirely from cache: identical samples, not one new cache
+    // key.
     Campaign warm(m, spec);
-    auto batched = warm.measure(progs, cfgs);
-    ASSERT_EQ(batched.size(), legacy.size());
-    for (size_t i = 0; i < legacy.size(); ++i)
-        EXPECT_TRUE(samplesEqual(legacy[i], batched[i])) << i;
+    Architecture arch2 = arch;
+    CampaignResult batched = warm.run(arch2);
+    EXPECT_EQ(batched.cacheMisses, 0u);
+    ASSERT_EQ(batched.samples.size(), unbatched.samples.size());
+    for (size_t i = 0; i < batched.samples.size(); ++i)
+        EXPECT_TRUE(
+            samplesEqual(unbatched.samples[i], batched.samples[i]))
+            << i;
     EXPECT_EQ(sampleFileCount(spec.cacheDir), files);
 }
 

@@ -1,0 +1,281 @@
+/**
+ * @file
+ * Engine identity: the decoded core simulator against the
+ * per-Program reference loop (reference_core.hh), every CoreResult
+ * field bit for bit. Covers the CI perf corpus (memory + random
+ * programs, 1 K bodies) on every SMT mode at the first-pass memory
+ * latency of each swept frequency and at contended latencies, plus
+ * heterogeneous SMT co-runs of mixed programs and body sizes.
+ */
+
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "microprobe/cache_model.hh"
+#include "microprobe/passes.hh"
+#include "microprobe/synthesizer.hh"
+#include "reference_core.hh"
+#include "sim/machine.hh"
+#include "workloads/stressmarks.hh"
+#include "workloads/suite.hh"
+
+using namespace mprobe;
+
+namespace
+{
+
+/** The raw bits of @p v: bit identity, not numeric equality. */
+uint64_t
+bitsOf(double v)
+{
+    uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+const std::pair<const char *, double RunCounters::*> kCounterFields[] = {
+    {"cycles", &RunCounters::cycles},
+    {"instrs", &RunCounters::instrs},
+    {"fxuOps", &RunCounters::fxuOps},
+    {"lsuOps", &RunCounters::lsuOps},
+    {"vsuOps", &RunCounters::vsuOps},
+    {"bruOps", &RunCounters::bruOps},
+    {"cruOps", &RunCounters::cruOps},
+    {"loads", &RunCounters::loads},
+    {"stores", &RunCounters::stores},
+    {"l1Hits", &RunCounters::l1Hits},
+    {"l2Hits", &RunCounters::l2Hits},
+    {"l3Hits", &RunCounters::l3Hits},
+    {"memAcc", &RunCounters::memAcc},
+    {"energyNj", &RunCounters::energyNj},
+    {"overlapNj", &RunCounters::overlapNj},
+    {"transitionNj", &RunCounters::transitionNj},
+};
+
+/** Every CoreResult field of @p got must equal @p want to the bit;
+ * returns the number of fields that differ (each also a failure). */
+int
+countMismatches(const CoreResult &got, const CoreResult &want)
+{
+    int bad = 0;
+    for (const auto &f : kCounterFields) {
+        double g = got.window.*f.second;
+        double w = want.window.*f.second;
+        if (bitsOf(g) != bitsOf(w)) {
+            ADD_FAILURE() << f.first << ": got " << g << ", want "
+                          << w;
+            ++bad;
+        }
+    }
+    if (got.iterations != want.iterations) {
+        ADD_FAILURE() << "iterations: got " << got.iterations
+                      << ", want " << want.iterations;
+        ++bad;
+    }
+    if (got.threads != want.threads) {
+        ADD_FAILURE() << "threads: got " << got.threads
+                      << ", want " << want.threads;
+        ++bad;
+    }
+    return bad;
+}
+
+/** The CI perf spec's corpus and the machine it runs on. */
+struct Corpus
+{
+    Architecture arch = Architecture::get("POWER7");
+    Machine machine{arch.isa(), arch.uarch().cacheGeometries(),
+                    arch.uarch().clockGhz()};
+    std::vector<Program> programs;
+
+    Corpus()
+    {
+        // categories = memory, random; random_count = 8;
+        // per_memory_group = 1; memory_count = 2; body_size = 1024.
+        SuiteOptions o;
+        o.bodySize = 1024;
+        o.perMemoryGroup = 1;
+        o.memoryCount = 2;
+        o.randomCount = 8;
+        o.threads = 1;
+        o.categories = {BenchCategory::MemoryGroup,
+                        BenchCategory::Random};
+        for (auto &gb : generateTable2Suite(arch, machine, o))
+            programs.push_back(std::move(gb.program));
+    }
+
+    /** A single-instruction loop (the extension tests' shape). */
+    Program
+    loopOf(const std::string &op, size_t n = 512)
+    {
+        Synthesizer s(arch, 99);
+        s.addPass<SkeletonPass>(n);
+        s.addPass<SequencePass>(
+            std::vector<Isa::OpIndex>{arch.isa().find(op)});
+        s.add(std::make_unique<DependencyDistancePass>(
+            DependencyDistancePass::none()));
+        return s.synthesize(op + "-loop");
+    }
+
+    /** The first-pass (uncontended) memory latency at @p ghz, as
+     * Machine::run derives it. */
+    int
+    firstPassLatency(double ghz) const
+    {
+        return std::max(1, static_cast<int>(std::lround(
+                               machine.simOptions().memLatency * ghz /
+                               machine.clockGhz())));
+    }
+
+    /** Simulation options at memory latency @p lat_mem. */
+    CoreSimOptions
+    options(int lat_mem) const
+    {
+        CoreSimOptions o = machine.simOptions();
+        o.memLatency = lat_mem;
+        return o;
+    }
+};
+
+Corpus &
+corpus()
+{
+    static Corpus c;
+    return c;
+}
+
+/** Memory latencies of contended multi-core runs (well above any
+ * first-pass latency of the swept frequencies). */
+constexpr int kContendedLatencies[] = {480, 900};
+
+std::string
+mixName(const std::vector<const Program *> &mix)
+{
+    std::string s;
+    for (const Program *p : mix)
+        s += (s.empty() ? "" : " + ") + p->name;
+    return s;
+}
+
+} // namespace
+
+TEST(CoreIdentity, PerfCorpusMatchesReference)
+{
+    Corpus &c = corpus();
+    ASSERT_EQ(c.programs.size(), 24u);
+    ExecModel exec(c.arch.isa());
+    std::vector<int> latencies;
+    for (double ghz : {2.0, 2.5, 3.0, 3.5})
+        latencies.push_back(c.firstPassLatency(ghz));
+    for (int lat : kContendedLatencies) {
+        ASSERT_GT(lat, latencies.back());
+        latencies.push_back(lat);
+    }
+
+    // One decode per program and one scratch for the whole sweep,
+    // as a campaign's Machine::Batch reuses them.
+    DecodedProgram dec;
+    SimScratch scratch;
+    int sims = 0, mismatches = 0;
+    for (const Program &p : c.programs) {
+        const CoreSimOptions base = c.options(latencies[0]);
+        exec.decode(p, base.mispredictPenalty, base.transitionGateNj,
+                    dec);
+        for (int smt : {1, 2, 4})
+            for (int lat : latencies) {
+                SCOPED_TRACE(p.name + " smt " + std::to_string(smt) +
+                             " lat " + std::to_string(lat));
+                CoreSimOptions o = c.options(lat);
+                mismatches += countMismatches(
+                    simulateCoreDecoded(dec, smt, o, scratch),
+                    reference::simulateCore(exec, p, smt, o));
+                ++sims;
+            }
+    }
+    EXPECT_EQ(sims, 24 * 3 * 6);
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CoreIdentity, HeterogeneousCoRunsMatchReference)
+{
+    Corpus &c = corpus();
+    ExecModel exec(c.arch.isa());
+    const std::vector<Program> &suite = c.programs;
+    const size_t n = suite.size();
+
+    // The extension tests' programs: single-unit 512-slot loops,
+    // one walking an L1-resident stream.
+    Program fxu = c.loopOf("subf");
+    Program vsu = c.loopOf("xvmaddadp");
+    Program lsu = c.loopOf("lbz");
+    AnalyticalCacheModel cm(c.arch.uarch());
+    lsu.streams.push_back(cm.makeStream(HitLevel::L1, 0).stream);
+    for (auto &pi : lsu.body)
+        if (c.arch.isa().at(pi.op).isMemory())
+            pi.stream = 0;
+    Program add = c.loopOf("add", 384);
+
+    // bench_fig9's shape: per-unit stressmarks beside the
+    // homogeneous best sequence.
+    std::vector<Isa::OpIndex> picks = expertPicks(c.arch);
+    Program s_fxu = buildStressmark(c.arch, {picks[0]}, "het-fxu", 1024);
+    Program s_vsu = buildStressmark(c.arch, {picks[1]}, "het-vsu", 1024);
+    Program s_lsu = buildStressmark(c.arch, {picks[2]}, "het-lsu", 1024);
+    Program best = buildStressmark(c.arch, picks, "hom-best", 1024);
+
+    std::vector<std::vector<const Program *>> mixes = {
+        {&fxu, &vsu},
+        {&fxu, &vsu, &lsu, &add},
+        {&lsu, &add},
+        {&best, &best, &best, &best},
+        {&s_fxu, &s_lsu, &s_vsu, &best},
+        {&s_vsu, &s_fxu},
+    };
+    // Fixed 2- and 4-thread mixes of suite programs (memory groups
+    // and random bodies side by side, so streams of several
+    // programs interleave in the shared caches).
+    for (size_t i = 0; i < n; i += 3)
+        mixes.push_back({&suite[i], &suite[n - 1 - i]});
+    for (size_t i = 0; i < n; i += 5)
+        mixes.push_back({&suite[i], &suite[(i + 7) % n],
+                         &suite[(i + 13) % n], &suite[(i + 19) % n]});
+    // Mixed body sizes: each thread wraps at its own loop end.
+    mixes.push_back({&suite[0], &add});
+    mixes.push_back({&add, &suite[1], &lsu, &s_vsu});
+
+    int mismatches = 0;
+    for (const auto &mix : mixes)
+        for (int lat : {c.firstPassLatency(3.0), kContendedLatencies[1]}) {
+            SCOPED_TRACE(mixName(mix) + " lat " + std::to_string(lat));
+            CoreSimOptions o = c.options(lat);
+            mismatches +=
+                countMismatches(simulateCoreHetero(exec, mix, o),
+                                reference::simulateCoreHetero(exec, mix, o));
+        }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CoreIdentity, CoRunOfOneProgramIsHomogeneous)
+{
+    Corpus &c = corpus();
+    ExecModel exec(c.arch.isa());
+    CoreSimOptions o = c.options(c.firstPassLatency(3.0));
+    int mismatches = 0;
+    for (const Program &p : c.programs) {
+        SCOPED_TRACE(p.name);
+        mismatches += countMismatches(
+            simulateCoreHetero(exec, {&p, &p, &p, &p}, o),
+            simulateCore(exec, p, 4, o));
+        mismatches +=
+            countMismatches(simulateCoreHetero(exec, {&p, &p}, o),
+                            simulateCore(exec, p, 2, o));
+    }
+    EXPECT_EQ(mismatches, 0);
+}

@@ -145,6 +145,28 @@ TEST(Service, ExportMatchesStandaloneRun)
               referenceCsv(text, "match"));
 }
 
+TEST(Service, VddSweepExportMatchesStandaloneRun)
+{
+    // Off-curve voltages: the service must measure at each job's
+    // swept vdd (and cache under that key), not at the curve
+    // voltage of the job's frequency.
+    ServiceOptions opts = testOptions("vdds");
+    std::string text = "categories = random\n"
+                       "configs = 1-1,4-2\n"
+                       "freqs = 2.5,3.0\n"
+                       "vdds = 0.80,0.90\n"
+                       "random_count = 2\n"
+                       "body_size = 256\n"
+                       "bootstrap = 0\n";
+    writeFile(opts.dropDir + "/undervolt.spec", text);
+
+    CampaignService service(opts);
+    ASSERT_EQ(service.run(), 1u);
+
+    EXPECT_EQ(readFile(opts.resultsDir + "/undervolt/samples.csv"),
+              referenceCsv(text, "vdds"));
+}
+
 TEST(Service, SurvivesMalformedSpec)
 {
     ServiceOptions opts = testOptions("malformed");

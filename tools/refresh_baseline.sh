@@ -1,10 +1,9 @@
 #!/bin/sh
 # Regenerate BENCH_baseline.json exactly the way CI measures it
-# (.github/workflows/ci.yml, "Campaign perf metrics" +
-# "Batched-identity smoke"): the perf and DVFS-sweep specs, each
-# run cache-cold and cache-warm single-threaded, plus the batched
-# legs from a second cold run of the perf spec, assembled with jq
-# into the six legs the ratcheting perf gate compares.
+# (.github/workflows/ci.yml, "Campaign perf metrics"): the perf and
+# DVFS-sweep specs, each run cache-cold and cache-warm
+# single-threaded, assembled with jq into the four legs the
+# ratcheting perf gate compares.
 #
 # Run it from the repository root on the machine class CI uses,
 # with an up-to-date Release build in build/, then commit the
@@ -57,10 +56,6 @@ printf '%s\n' 'categories = memory, random' \
     --metrics-json-stable sweep_cold.json
 "$bin" --spec sweep-perf.spec --cache-dir sweep-cache --quiet \
     --metrics-json-stable sweep_warm.json
-"$bin" --spec perf.spec --cache-dir batched-cache --quiet \
-    --metrics-json-stable batched_cold.json
-"$bin" --spec perf.spec --cache-dir batched-cache --quiet \
-    --metrics-json-stable batched_warm.json
 
 # Same family of tripwire as the sanitizer check above, but
 # caught post-hoc from the run itself: a baseline measured with
@@ -68,8 +63,7 @@ printf '%s\n' 'categories = memory, random' \
 # into the ratchet. The stable metrics JSON records whether
 # traceEnable() ever ran in the measuring process.
 if grep -q '"trace_active": true' cold.json warm.json \
-    sweep_cold.json sweep_warm.json batched_cold.json \
-    batched_warm.json; then
+    sweep_cold.json sweep_warm.json; then
     echo "error: a measurement ran with tracing enabled" \
          "(trace_active=true in its metrics); refresh the" \
          "baseline without --trace" >&2
@@ -77,10 +71,8 @@ if grep -q '"trace_active": true' cold.json warm.json \
 fi
 
 jq -s '{cold: .[0], warm: .[1],
-        sweep_cold: .[2], sweep_warm: .[3],
-        batched_cold: .[4], batched_warm: .[5]}' \
-    cold.json warm.json sweep_cold.json sweep_warm.json \
-    batched_cold.json batched_warm.json > "$out"
+        sweep_cold: .[2], sweep_warm: .[3]}' \
+    cold.json warm.json sweep_cold.json sweep_warm.json > "$out"
 
 echo "wrote $out:"
 jq -r 'to_entries[] |
