@@ -259,8 +259,14 @@ obsIsolationRule(const std::string &path, const LintSource &src,
 }
 
 // ----------------------------------------------------------------
-// Rule: hot-path-alloc — arena discipline inside
-// simulateCoreDecoded.
+// Rule: hot-path-alloc — arena discipline inside the core
+// simulator's cycle loop.
+
+/** The hot path in src/sim/core.cc: the entry point and the
+ * fixed-SMT-width loop it dispatches to. Every definition of each
+ * (overloads, explicit specializations) is scanned, and each must
+ * have at least one. */
+const char *const kHotPathFunctions[] = {"simulateCoreDecoded", "runCoreLoop"};
 
 /** Heap-allocating names forbidden in the hot path when called. */
 const char *const kAllocCalls[] = {
@@ -270,25 +276,58 @@ const char *const kAllocCalls[] = {
     "insert",       "append",  "to_string",
 };
 
+/** True when token @p i is the punctuation character @p c. */
+bool
+isPunct(const std::vector<LintToken> &toks, size_t i, const char *c)
+{
+    return i < toks.size() && toks[i].kind == LintToken::Kind::Punct &&
+           toks[i].text == c;
+}
+
 /**
- * Locate the brace-balanced body of function @p name: the token
- * index range (begin, end) covering everything between its braces.
+ * Index of the token after the template argument list that starts
+ * at token @p j, or @p j itself when none starts there. Returns
+ * toks.size() when the '<' closes at no '>' before a statement or
+ * block boundary (a comparison, not a template).
+ */
+size_t
+skipTemplateArgs(const std::vector<LintToken> &toks, size_t j)
+{
+    if (!isPunct(toks, j, "<"))
+        return j;
+    int depth = 0;
+    for (; j < toks.size(); ++j) {
+        if (isPunct(toks, j, "<"))
+            ++depth;
+        else if (isPunct(toks, j, ">") && --depth == 0)
+            return j + 1;
+        else if (isPunct(toks, j, ";") || isPunct(toks, j, "{") ||
+                 isPunct(toks, j, "}"))
+            break;
+    }
+    return toks.size();
+}
+
+/**
+ * Locate the brace-balanced body of the first definition of
+ * function @p name at or after token @p from: the token index range
+ * (begin, end) covering everything between its braces. The name
+ * may carry a template argument list (an explicit specialization).
  * Returns false when no definition is found.
  */
 bool
 findFunctionBody(const std::vector<LintToken> &toks,
                  const std::string &name, size_t &begin,
-                 size_t &end)
+                 size_t &end, size_t from = 0)
 {
-    for (size_t i = 0; i + 1 < toks.size(); ++i) {
+    for (size_t i = from; i + 1 < toks.size(); ++i) {
         if (toks[i].kind != LintToken::Kind::Identifier ||
             toks[i].text != name)
             continue;
-        if (toks[i + 1].kind != LintToken::Kind::Punct ||
-            toks[i + 1].text != "(")
+        size_t j = skipTemplateArgs(toks, i + 1);
+        if (!isPunct(toks, j, "("))
             continue;
         // Skip the balanced parameter list.
-        size_t j = i + 1;
         int pdepth = 0;
         for (; j < toks.size(); ++j) {
             if (toks[j].kind != LintToken::Kind::Punct)
@@ -335,33 +374,21 @@ findFunctionBody(const std::vector<LintToken> &toks,
     return false;
 }
 
+/** Flag heap allocation in the body tokens [begin, end) of hot-path
+ * function @p fn. */
 void
-hotPathRule(const std::string &path, const LintSource &src,
+scanHotBody(const std::string &path, const LintSource &src,
+            const std::string &fn, size_t begin, size_t end,
             std::vector<LintFinding> &out)
 {
-    if (path != "src/sim/core.cc")
-        return;
-    const std::string fn = "simulateCoreDecoded";
-    size_t begin = 0, end = 0;
-    if (!findFunctionBody(src.tokens, fn, begin, end)) {
-        // A renamed/moved hot path must not silently disable its
-        // allocation discipline: make the hole visible.
-        out.push_back({path, 1, "hot-path-alloc",
-                       cat("hot-path function '", fn,
-                           "' not found; update the rule scope in "
-                           "src/lint/lint.cc alongside the "
-                           "rename")});
-        return;
-    }
     const auto &toks = src.tokens;
     for (size_t i = begin; i < end; ++i) {
         const LintToken &t = toks[i];
         if (t.kind != LintToken::Kind::Identifier)
             continue;
         bool hit = t.text == "new" || t.text == "delete";
-        if (!hit && i + 1 < toks.size() &&
-            toks[i + 1].kind == LintToken::Kind::Punct &&
-            toks[i + 1].text == "(")
+        // A call, template arguments included (make_unique<T>(...)).
+        if (!hit && isPunct(toks, skipTemplateArgs(toks, i + 1), "("))
             for (const char *name : kAllocCalls)
                 if (t.text == name)
                     hit = true;
@@ -375,6 +402,32 @@ hotPathRule(const std::string &path, const LintSource &src,
                  "the allocation out of the per-run path. "
                  "Cold abort paths can annotate "
                  "'// lint: hotpath-alloc-ok(<reason>)'")});
+    }
+}
+
+void
+hotPathRule(const std::string &path, const LintSource &src,
+            std::vector<LintFinding> &out)
+{
+    if (path != "src/sim/core.cc")
+        return;
+    for (const char *fn : kHotPathFunctions) {
+        size_t begin = 0, end = 0, defs = 0;
+        for (size_t from = 0;
+             findFunctionBody(src.tokens, fn, begin, end, from);
+             from = end + 1) {
+            scanHotBody(path, src, fn, begin, end, out);
+            ++defs;
+        }
+        if (defs == 0) {
+            // A renamed/moved hot path must not silently disable its
+            // allocation discipline: make the hole visible.
+            out.push_back({path, 1, "hot-path-alloc",
+                           cat("hot-path function '", fn,
+                               "' not found; update the rule scope "
+                               "in src/lint/lint.cc alongside the "
+                               "rename")});
+        }
     }
 }
 

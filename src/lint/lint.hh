@@ -26,8 +26,10 @@
  *    must never be able to leak into results. No escape hatch;
  *    count plainly in place and sync from the engine instead.
  *  - `hot-path-alloc`: no heap allocation (new/make_unique/malloc/
- *    growing containers) inside simulateCoreDecoded in
- *    src/sim/core.cc — the PR-7 arena discipline. Escape hatch:
+ *    growing containers) inside any definition of
+ *    simulateCoreDecoded or of its cycle loop runCoreLoop in
+ *    src/sim/core.cc — the arena discipline; a missing one is a
+ *    finding too. Escape hatch:
  *    `// lint: hotpath-alloc-ok(<reason>)`.
  *  - `fingerprint-coverage`: every field of GroundTruthParams must
  *    be referenced by Machine::fingerprint(), and every field of

@@ -39,9 +39,7 @@ CacheLevel::CacheLevel(const CacheGeometry &g) : geom(g)
                   geom.lineBytes));
     lineShift = log2i(static_cast<uint64_t>(geom.lineBytes));
     log2i(numSets); // validate power of two
-    tags.assign(numSets * geom.assoc, 0);
-    valid.assign(numSets * geom.assoc, 0);
-    lruTick.assign(numSets * geom.assoc, 0);
+    ways.assign(numSets * geom.assoc, Way{0, 0});
 }
 
 uint64_t
@@ -57,7 +55,7 @@ CacheLevel::probe(uint64_t addr) const
     uint64_t set = line & (numSets - 1);
     size_t base = set * geom.assoc;
     for (int w = 0; w < geom.assoc; ++w)
-        if (valid[base + w] && tags[base + w] == line)
+        if (ways[base + w].tick != 0 && ways[base + w].tag == line)
             return true;
     return false;
 }
@@ -68,44 +66,36 @@ CacheLevel::access(uint64_t addr)
     uint64_t line = addr >> lineShift;
     uint64_t set = line & (numSets - 1);
     size_t base = set * geom.assoc;
+    Way *set_ways = ways.data() + base;
     ++tick;
     int victim = 0;
     uint64_t oldest = ~0ull;
     for (int w = 0; w < geom.assoc; ++w) {
-        size_t i = base + w;
-        if (valid[i] && tags[i] == line) {
-            lruTick[i] = tick;
+        Way &way = set_ways[w];
+        if (way.tick != 0 && way.tag == line) {
+            way.tick = tick;
             return true;
         }
-        if (!valid[i]) {
-            // Prefer an invalid way as the victim.
-            if (oldest != 0) {
-                oldest = 0;
-                victim = w;
-            }
-        } else if (lruTick[i] < oldest) {
-            oldest = lruTick[i];
+        // Least recently used way; an invalid way (tick 0) is
+        // older than any valid one, and the first of them wins.
+        if (way.tick < oldest) {
+            oldest = way.tick;
             victim = w;
         }
     }
-    size_t vi = base + victim;
-    tags[vi] = line;
-    valid[vi] = 1;
-    lruTick[vi] = tick;
+    set_ways[victim] = Way{line, tick};
     return false;
 }
 
 void
 CacheLevel::reset()
 {
-    // Clearing the valid bits is enough: an invalid way's lruTick
-    // is never read (the victim scan prefers invalid ways through
-    // the oldest==0 sentinel, and a valid way's tick is always
-    // >= 1), and it is overwritten on the fill that revalidates
-    // the way. Skipping the lruTick refill makes reuse of a
-    // retained hierarchy between batched jobs an order of
-    // magnitude cheaper than reconstruction.
-    std::fill(valid.begin(), valid.end(), 0);
+    // Zeroing the ticks is enough: an invalid way's tag is never
+    // read, and the fill that revalidates the way overwrites it.
+    // Reusing a retained hierarchy this way between batched jobs
+    // is an order of magnitude cheaper than reconstruction.
+    for (Way &way : ways)
+        way.tick = 0;
     tick = 0;
 }
 

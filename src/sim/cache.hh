@@ -67,12 +67,18 @@ class CacheLevel
     const CacheGeometry &geometry() const { return geom; }
 
   private:
+    /** One way: the resident line and its last-use tick, where tick
+     * 0 marks an invalid way (a valid way's tick is at least 1). */
+    struct Way
+    {
+        uint64_t tag;
+        uint64_t tick;
+    };
+
     CacheGeometry geom;
     uint64_t numSets;
     int lineShift;
-    std::vector<uint64_t> tags;    //!< numSets * assoc entries
-    std::vector<uint8_t> valid;
-    std::vector<uint64_t> lruTick;
+    std::vector<Way> ways; //!< numSets * assoc entries
     uint64_t tick = 0;
 };
 

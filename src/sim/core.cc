@@ -32,6 +32,15 @@ threadAddr(uint64_t addr, int tid)
            (static_cast<uint64_t>(tid) << 40);
 }
 
+/** Upper bound of every earliest-time scan: "no bound found". */
+constexpr double kNever = 1e300;
+
+// Flattened per-unit pipe tokens; offsets/counts mirror
+// ExecModel::pipes (FXU 2, LSU 2, VSU 4, BRU 1, CRU 1).
+constexpr int kPipeOff[kNumUnits] = {0, 2, 4, 8, 9};
+constexpr int kPipeCnt[kNumUnits] = {2, 2, 4, 1, 1};
+constexpr int kNumPipes = 10;
+
 /** Per-thread state of the decoded simulator (arena-backed). */
 struct DecodedThread
 {
@@ -44,9 +53,367 @@ struct DecodedThread
     bool lastHigh = false;
     double blockUntil = 0.0;
     double mispredictDebt = 0.0;
+    /** Earliest time the thread can issue again, recorded when it
+     * stalls; the loop does not probe it before then. */
+    double wake = 0.0;
     double *readyAt = nullptr;    // per body slot
     uint32_t *cursors = nullptr;  // per stream
 };
+
+/** Units that fired in a step, by its mask of FXU, LSU and VSU. */
+constexpr int kUnitsFired[8] = {0, 1, 1, 2, 1, 2, 2, 3};
+
+/** Pipes of unit @p u free at @p horizon; lowers @p busy to the
+ * earliest free time of the others. */
+inline int
+scanPipes(const double *pipes, int u, double horizon, double &busy)
+{
+    const double *p = pipes + kPipeOff[u];
+    int free_pipes = 0;
+    for (int w = 0; w < kPipeCnt[u]; ++w) {
+        if (p[w] <= horizon)
+            ++free_pipes;
+        else
+            busy = std::min(busy, p[w]);
+    }
+    return free_pipes;
+}
+
+/** Earliest free time of any pipe of unit @p u, free ones included. */
+inline double
+earliestPipe(const double *pipes, int u)
+{
+    const double *p = pipes + kPipeOff[u];
+    double t = kNever;
+    for (int w = 0; w < kPipeCnt[u]; ++w)
+        t = std::min(t, p[w]);
+    return t;
+}
+
+/**
+ * The cycle loop at a fixed SMT width @p N (1, 2 or 4), over threads
+ * @p ts set up by simulateCoreDecoded. A fixed width unrolls the
+ * per-thread loops and makes the dispatch rotation a wrapping
+ * counter, which advances on every scheduler step, including steps
+ * that issue nothing.
+ *
+ * Two skips keep the result bit-identical to probing every thread
+ * in every step. They rest on the scheduler invariants listed in
+ * docs/MODEL.md: pipe free times never decrease, and a thread's
+ * blockUntil, readyAt and pc change only when that thread issues.
+ * (1) A stalled thread records its wake time: its blockUntil, its
+ * source's readyAt, or the earliest busy pipe of its allowed units.
+ * It cannot issue before then, so steps before then do not probe
+ * it. (2) A step in which nothing issued changed no state, so its
+ * stall-skip target is computed after the step, and only in such
+ * steps, by the original per-thread rules.
+ */
+template <int N>
+CoreResult
+runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
+            CacheHierarchy &cache, DecodedThread *ts)
+{
+    const int lat_mem = opts.memLatency;
+
+    double pipes[kNumPipes];
+    for (double &nf : pipes)
+        nf = -1.0;
+
+    const int32_t *dep_src = dec.depSrc.data();
+    const int32_t *stream_id = dec.stream.data();
+    const int8_t *unit_first = dec.unitFirst.data();
+    const int8_t *unit_second = dec.unitSecond.data();
+    const int8_t *pipes_needed = dec.pipesNeeded.data();
+    const int8_t *extra_fxu = dec.extraFxuOps.data();
+    const uint8_t *flags = dec.flags.data();
+    const uint8_t *high_energy = dec.highEnergy.data();
+    const double *issue_interval = dec.issueInterval.data();
+    const double *latency = dec.latency.data();
+    const double *act_energy = dec.actEnergyNj.data();
+    const double *mispredict_inc = dec.mispredictInc.data();
+    const uint64_t *stream_lines = dec.streamLines.data();
+    const uint32_t *stream_off = dec.streamOffset.data();
+    const uint32_t *stream_len = dec.streamLen.data();
+
+    // Hidden unit-overlap energy of a step in which 2 or 3 of the
+    // FXU, LSU and VSU fire (the only units that count).
+    double overlap_nj[4] = {0.0, 0.0, 0.0, 0.0};
+    for (int u_cnt = 2; u_cnt <= 3; ++u_cnt)
+        overlap_nj[u_cnt] =
+            opts.overlapNjPerCycle * std::pow(u_cnt - 1.0, 1.5);
+
+    RunCounters live;
+    RunCounters snapshot;
+    double snapshot_time = 0.0;
+    bool measuring = false;
+
+    const long warm = opts.warmupIters;
+    const long target = warm + opts.measureIters;
+    // Threads whose iteration count has reached warm / target.
+    int at_warm = warm <= 0 ? N : 0;
+    int at_target = target <= 0 ? N : 0;
+
+    double now = 0.0;
+    // The thread that probes first: the step count modulo N.
+    int first = 0;
+
+    for (;;) {
+        const double horizon = now + kEps;
+        unsigned ready = 0;
+        for (int i = 0; i < N; ++i)
+            ready |= static_cast<unsigned>(ts[i].wake <= horizon) << i;
+
+        int dispatch_left = ExecModel::dispatchWidth;
+        uint32_t issued_units = 0;
+        // The ready threads in rotation order: bit k of order is
+        // thread first + k (mod N).
+        unsigned order = ((ready >> first) | (ready << (N - first))) &
+                         ((1u << N) - 1);
+        while (order != 0 && dispatch_left > 0) {
+            int tid = first + __builtin_ctz(order);
+            order &= order - 1;
+            if (tid >= N)
+                tid -= N;
+            DecodedThread &t = ts[tid];
+            while (dispatch_left > 0) {
+                if (t.blockUntil > horizon) {
+                    t.wake = t.blockUntil;
+                    break;
+                }
+                const size_t pc = t.pc;
+
+                int32_t src = dep_src[pc];
+                if (src >= 0 && t.readyAt[src] > horizon) {
+                    t.wake = t.readyAt[src];
+                    break;
+                }
+
+                // Pick an execution unit with enough free pipes
+                // (ascending unit order).
+                const int need = pipes_needed[pc];
+                const int u0 = unit_first[pc];
+                const int u1 = unit_second[pc];
+                int chosen = -1;
+                double busy = kNever;
+                if (scanPipes(pipes, u0, horizon, busy) >= need)
+                    chosen = u0;
+                else if (u1 >= 0 &&
+                         scanPipes(pipes, u1, horizon, busy) >= need)
+                    chosen = u1;
+                if (chosen < 0) {
+                    // Structural stall: the free pipes are too few,
+                    // so a busy pipe must free up first.
+                    t.wake = busy;
+                    break;
+                }
+
+                // Occupy the pipes (token scheme preserves
+                // fractional issue intervals under an integer clock).
+                const uint8_t fl = flags[pc];
+                double ii = issue_interval[pc];
+                if (chosen == static_cast<int>(Unit::LSU) &&
+                    !(fl & DecodedProgram::kMem)) {
+                    // Simple integer ops borrow LSU address-gen
+                    // slots at reduced bandwidth.
+                    ii = 4.0 / 3.0;
+                }
+                double *cp = pipes + kPipeOff[chosen];
+                int occupied = 0;
+                for (int w = 0; w < kPipeCnt[chosen]; ++w) {
+                    if (occupied == need)
+                        break;
+                    if (cp[w] <= horizon) {
+                        cp[w] =
+                            std::max(cp[w], now - 1.0 + kEps) + ii;
+                        ++occupied;
+                    }
+                }
+
+                // Execute.
+                double lat = latency[pc];
+                if (fl & DecodedProgram::kMem) {
+                    int l = 0;
+                    const int32_t sid = stream_id[pc];
+                    if (sid >= 0) {
+                        uint32_t &cur = t.cursors[sid];
+                        uint64_t addr = threadAddr(
+                            stream_lines[stream_off[sid] + cur], tid);
+                        if (++cur == stream_len[sid])
+                            cur = 0;
+                        l = static_cast<int>(cache.access(addr));
+                    }
+                    switch (l) {
+                      case 0: live.l1Hits += 1; break;
+                      case 1: live.l2Hits += 1; break;
+                      case 2: live.l3Hits += 1; break;
+                      default: live.memAcc += 1; break;
+                    }
+                    double mem_lat =
+                        l < 3 ? ExecModel::loadToUse[l] : lat_mem;
+                    if (fl & DecodedProgram::kStore) {
+                        lat = 1.0;
+                        // Store-queue back-pressure: deep misses
+                        // hold the pipe longer.
+                        cp[0] += mem_lat * 0.125;
+                    } else {
+                        lat = mem_lat;
+                    }
+                    live.energyNj += kCacheEnergyNj[l];
+                }
+                t.readyAt[pc] = now + lat;
+
+                // Secondary micro-ops (address update / sign
+                // extension on the FXU; store data steering on the
+                // VSU). Best effort: they consume bandwidth but do
+                // not gate issue.
+                for (int xo = 0; xo < extra_fxu[pc]; ++xo) {
+                    double *fp =
+                        pipes + kPipeOff[static_cast<int>(Unit::FXU)];
+                    int best = 0;
+                    for (int w = 1;
+                         w < kPipeCnt[static_cast<int>(Unit::FXU)]; ++w)
+                        if (fp[w] < fp[best])
+                            best = w;
+                    fp[best] =
+                        std::max(fp[best], now - 1.0 + kEps) + 1.0;
+                    live.fxuOps += 1;
+                }
+                if (fl & DecodedProgram::kVsuSteer) {
+                    double *vp =
+                        pipes + kPipeOff[static_cast<int>(Unit::VSU)];
+                    int best = 0;
+                    for (int w = 1;
+                         w < kPipeCnt[static_cast<int>(Unit::VSU)]; ++w)
+                        if (vp[w] < vp[best])
+                            best = w;
+                    vp[best] =
+                        std::max(vp[best], now - 1.0 + kEps) + 1.0;
+                    live.vsuOps += 1;
+                }
+
+                // Counters.
+                live.instrs += 1;
+                switch (static_cast<Unit>(chosen)) {
+                  case Unit::FXU: live.fxuOps += 1; break;
+                  case Unit::LSU: live.lsuOps += 1; break;
+                  case Unit::VSU: live.vsuOps += 1; break;
+                  case Unit::BRU: live.bruOps += 1; break;
+                  case Unit::CRU: live.cruOps += 1; break;
+                  default: break;
+                }
+                if (fl & DecodedProgram::kMem) {
+                    if (fl & DecodedProgram::kStore)
+                        live.stores += 1;
+                    else
+                        live.loads += 1;
+                }
+
+                // Data-dependent dynamic energy (pre-multiplied at
+                // decode).
+                live.energyNj += act_energy[pc];
+
+                if (chosen <= static_cast<int>(Unit::VSU)) {
+                    issued_units |= 1u << chosen;
+                    if (t.lastUnit >= 0 && t.lastUnit != chosen &&
+                        t.lastHigh && high_energy[pc]) {
+                        live.energyNj += opts.transitionNjPerInstr;
+                        live.transitionNj +=
+                            opts.transitionNjPerInstr;
+                    }
+                    t.lastUnit = chosen;
+                    t.lastHigh = high_energy[pc];
+                }
+                --dispatch_left;
+
+                // Conditional-branch mispredictions (deterministic
+                // fractional accounting of the expected penalty).
+                if (fl & DecodedProgram::kCondBranch) {
+                    t.mispredictDebt += mispredict_inc[pc];
+                    double whole = std::floor(t.mispredictDebt);
+                    if (whole >= 1.0) {
+                        t.blockUntil = now + whole;
+                        t.mispredictDebt -= whole;
+                    }
+                }
+
+                // Advance, wrapping at the end of the thread's
+                // own loop body.
+                ++t.pc;
+                if (t.pc == t.end) {
+                    t.pc = t.begin;
+                    ++t.iter;
+                    at_warm += t.iter == warm;
+                    at_target += t.iter == target;
+                }
+            }
+        }
+
+        // Hidden unit-overlap power: cycles in which several
+        // different units fire cost extra (simultaneous switching on
+        // shared dispatch/bypass resources). This is what makes
+        // instruction *order* matter for power (Section 6).
+        const int u_cnt = kUnitsFired[issued_units];
+        if (u_cnt >= 2) {
+            live.energyNj += overlap_nj[u_cnt];
+            live.overlapNj += overlap_nj[u_cnt];
+        }
+
+        if (++first == N)
+            first = 0;
+        if (dispatch_left < ExecModel::dispatchWidth) {
+            now += 1.0;
+        } else {
+            // Nothing issued, so every thread stalled on the state
+            // it started the step with. Each thread's stall bound:
+            // its mispredict block, else its pending source, else
+            // the earliest pipe of its allowed units. Free pipes
+            // count there, so a free but insufficient pipe forces a
+            // one-cycle advance.
+            double min_blocker = kNever;
+            for (int i = 0; i < N; ++i) {
+                const DecodedThread &t = ts[i];
+                const int32_t src = dep_src[t.pc];
+                if (t.blockUntil > horizon) {
+                    min_blocker = std::min(min_blocker, t.blockUntil);
+                } else if (src >= 0 && t.readyAt[src] > horizon) {
+                    min_blocker = std::min(min_blocker, t.readyAt[src]);
+                } else {
+                    const int u0 = unit_first[t.pc];
+                    const int u1 = unit_second[t.pc];
+                    min_blocker =
+                        std::min(min_blocker, earliestPipe(pipes, u0));
+                    if (u1 >= 0)
+                        min_blocker =
+                            std::min(min_blocker, earliestPipe(pipes, u1));
+                }
+            }
+            if (min_blocker <= now + 1.0 + kEps)
+                now += 1.0;
+            else if (min_blocker > 1e299)
+                panic(cat("deadlocked simulation in ", dec.name));
+            else
+                now = std::ceil(min_blocker - kEps);
+        }
+
+        if (!measuring && at_warm == N) {
+            measuring = true;
+            snapshot = live;
+            snapshot_time = now;
+        }
+        if (measuring && at_target == N)
+            break;
+        if (now > kMaxCycles)
+            panic(cat("simulation of ", dec.name,
+                      " exceeded cycle cap"));
+    }
+
+    CoreResult res;
+    res.window = live - snapshot;
+    res.window.cycles = now - snapshot_time;
+    res.iterations = static_cast<int>(target - warm);
+    res.threads = N;
+    return res;
+}
 
 } // namespace
 
@@ -95,7 +462,6 @@ simulateCoreDecoded(const DecodedProgram &dec, int threads,
                   "decode of ",
                   dec.name));
 
-    const int lat_mem = opts.memLatency;
     CacheHierarchy &cache =
         opts.cacheGeoms.empty()
             ? scratch.cache(CacheHierarchy::p7Geometry(),
@@ -108,7 +474,6 @@ simulateCoreDecoded(const DecodedProgram &dec, int threads,
     DecodedThread ts[4];
     for (int i = 0; i < threads; ++i) {
         DecodedThread &t = ts[i];
-        t = DecodedThread();
         const DecodedProgram::SlotRange &r =
             dec.threadSlots[ranges == 1 ? 0 : static_cast<size_t>(i)];
         t.pc = t.begin = r.begin;
@@ -120,292 +485,11 @@ simulateCoreDecoded(const DecodedProgram &dec, int threads,
         std::fill(t.cursors, t.cursors + n_streams, 0u);
     }
 
-    // Flattened per-unit pipe tokens; offsets/counts mirror
-    // ExecModel::pipes (FXU 2, LSU 2, VSU 4, BRU 1, CRU 1).
-    constexpr int off[kNumUnits] = {0, 2, 4, 8, 9};
-    constexpr int cnt[kNumUnits] = {2, 2, 4, 1, 1};
-    double pipes[10];
-    for (double &nf : pipes)
-        nf = -1.0;
-
-    const int32_t *dep_src = dec.depSrc.data();
-    const int32_t *stream_id = dec.stream.data();
-    const int8_t *unit_first = dec.unitFirst.data();
-    const int8_t *unit_second = dec.unitSecond.data();
-    const int8_t *pipes_needed = dec.pipesNeeded.data();
-    const int8_t *extra_fxu = dec.extraFxuOps.data();
-    const uint8_t *flags = dec.flags.data();
-    const uint8_t *high_energy = dec.highEnergy.data();
-    const double *issue_interval = dec.issueInterval.data();
-    const double *latency = dec.latency.data();
-    const double *act_energy = dec.actEnergyNj.data();
-    const double *mispredict_inc = dec.mispredictInc.data();
-    const uint64_t *stream_lines = dec.streamLines.data();
-    const uint32_t *stream_off = dec.streamOffset.data();
-    const uint32_t *stream_len = dec.streamLen.data();
-
-    RunCounters live;
-    RunCounters snapshot;
-    double snapshot_time = 0.0;
-    bool measuring = false;
-
-    const long warm = opts.warmupIters;
-    const long target = warm + opts.measureIters;
-
-    double now = 0.0;
-    uint64_t cycle_count = 0;
-
-    auto allReached = [&](long it) {
-        for (int i = 0; i < threads; ++i)
-            if (ts[i].iter < it)
-                return false;
-        return true;
-    };
-
-    for (;;) {
-        int dispatch_left = ExecModel::dispatchWidth;
-        uint32_t issued_units = 0;
-        bool any_issued = false;
-        double min_blocker = 1e300;
-
-        int start = static_cast<int>(cycle_count %
-                                     static_cast<uint64_t>(threads));
-        for (int k = 0; k < threads && dispatch_left > 0; ++k) {
-            int tid = (start + k) % threads;
-            DecodedThread &t = ts[tid];
-            while (dispatch_left > 0) {
-                if (t.blockUntil > now + kEps) {
-                    min_blocker = std::min(min_blocker, t.blockUntil);
-                    break;
-                }
-                const size_t pc = t.pc;
-
-                int32_t src = dep_src[pc];
-                if (src >= 0 && t.readyAt[src] > now + kEps) {
-                    min_blocker =
-                        std::min(min_blocker, t.readyAt[src]);
-                    break;
-                }
-
-                // Pick an execution unit with enough free pipes
-                // (ascending unit order).
-                const int need = pipes_needed[pc];
-                const int u0 = unit_first[pc];
-                const int u1 = unit_second[pc];
-                int chosen = -1;
-                {
-                    const double *p = pipes + off[u0];
-                    int free_pipes = 0;
-                    for (int w = 0; w < cnt[u0]; ++w)
-                        if (p[w] <= now + kEps)
-                            ++free_pipes;
-                    if (free_pipes >= need)
-                        chosen = u0;
-                }
-                if (chosen < 0 && u1 >= 0) {
-                    const double *p = pipes + off[u1];
-                    int free_pipes = 0;
-                    for (int w = 0; w < cnt[u1]; ++w)
-                        if (p[w] <= now + kEps)
-                            ++free_pipes;
-                    if (free_pipes >= need)
-                        chosen = u1;
-                }
-                if (chosen < 0) {
-                    // Structural stall: track the earliest pipe on
-                    // any allowed unit.
-                    for (int w = 0; w < cnt[u0]; ++w)
-                        min_blocker = std::min(min_blocker,
-                                               pipes[off[u0] + w]);
-                    if (u1 >= 0)
-                        for (int w = 0; w < cnt[u1]; ++w)
-                            min_blocker =
-                                std::min(min_blocker,
-                                         pipes[off[u1] + w]);
-                    break;
-                }
-
-                // Occupy the pipes (token scheme preserves
-                // fractional issue intervals under an integer clock).
-                const uint8_t fl = flags[pc];
-                double ii = issue_interval[pc];
-                if (chosen == static_cast<int>(Unit::LSU) &&
-                    !(fl & DecodedProgram::kMem)) {
-                    // Simple integer ops borrow LSU address-gen
-                    // slots at reduced bandwidth.
-                    ii = 4.0 / 3.0;
-                }
-                double *cp = pipes + off[chosen];
-                int occupied = 0;
-                for (int w = 0; w < cnt[chosen]; ++w) {
-                    if (occupied == need)
-                        break;
-                    if (cp[w] <= now + kEps) {
-                        cp[w] =
-                            std::max(cp[w], now - 1.0 + kEps) + ii;
-                        ++occupied;
-                    }
-                }
-
-                // Execute.
-                double lat = latency[pc];
-                if (fl & DecodedProgram::kMem) {
-                    int l = 0;
-                    const int32_t sid = stream_id[pc];
-                    if (sid >= 0) {
-                        const uint32_t len = stream_len[sid];
-                        uint32_t &cur = t.cursors[sid];
-                        uint64_t addr = threadAddr(
-                            stream_lines[stream_off[sid] +
-                                         cur % len],
-                            tid);
-                        cur = (cur + 1) % len;
-                        l = static_cast<int>(cache.access(addr));
-                    }
-                    switch (l) {
-                      case 0: live.l1Hits += 1; break;
-                      case 1: live.l2Hits += 1; break;
-                      case 2: live.l3Hits += 1; break;
-                      default: live.memAcc += 1; break;
-                    }
-                    double mem_lat =
-                        l < 3 ? ExecModel::loadToUse[l] : lat_mem;
-                    if (fl & DecodedProgram::kStore) {
-                        lat = 1.0;
-                        // Store-queue back-pressure: deep misses
-                        // hold the pipe longer.
-                        cp[0] += mem_lat * 0.125;
-                    } else {
-                        lat = mem_lat;
-                    }
-                    live.energyNj += kCacheEnergyNj[l];
-                }
-                t.readyAt[pc] = now + lat;
-
-                // Secondary micro-ops (address update / sign
-                // extension on the FXU; store data steering on the
-                // VSU). Best effort: they consume bandwidth but do
-                // not gate issue.
-                for (int xo = 0; xo < extra_fxu[pc]; ++xo) {
-                    double *fp =
-                        pipes + off[static_cast<int>(Unit::FXU)];
-                    int best = 0;
-                    for (int w = 1;
-                         w < cnt[static_cast<int>(Unit::FXU)]; ++w)
-                        if (fp[w] < fp[best])
-                            best = w;
-                    fp[best] =
-                        std::max(fp[best], now - 1.0 + kEps) + 1.0;
-                    live.fxuOps += 1;
-                }
-                if (fl & DecodedProgram::kVsuSteer) {
-                    double *vp =
-                        pipes + off[static_cast<int>(Unit::VSU)];
-                    int best = 0;
-                    for (int w = 1;
-                         w < cnt[static_cast<int>(Unit::VSU)]; ++w)
-                        if (vp[w] < vp[best])
-                            best = w;
-                    vp[best] =
-                        std::max(vp[best], now - 1.0 + kEps) + 1.0;
-                    live.vsuOps += 1;
-                }
-
-                // Counters.
-                live.instrs += 1;
-                switch (static_cast<Unit>(chosen)) {
-                  case Unit::FXU: live.fxuOps += 1; break;
-                  case Unit::LSU: live.lsuOps += 1; break;
-                  case Unit::VSU: live.vsuOps += 1; break;
-                  case Unit::BRU: live.bruOps += 1; break;
-                  case Unit::CRU: live.cruOps += 1; break;
-                  default: break;
-                }
-                if (fl & DecodedProgram::kMem) {
-                    if (fl & DecodedProgram::kStore)
-                        live.stores += 1;
-                    else
-                        live.loads += 1;
-                }
-
-                // Data-dependent dynamic energy (pre-multiplied at
-                // decode).
-                live.energyNj += act_energy[pc];
-
-                if (chosen <= static_cast<int>(Unit::VSU)) {
-                    issued_units |= 1u << chosen;
-                    if (t.lastUnit >= 0 && t.lastUnit != chosen &&
-                        t.lastHigh && high_energy[pc]) {
-                        live.energyNj += opts.transitionNjPerInstr;
-                        live.transitionNj +=
-                            opts.transitionNjPerInstr;
-                    }
-                    t.lastUnit = chosen;
-                    t.lastHigh = high_energy[pc];
-                }
-                any_issued = true;
-                --dispatch_left;
-
-                // Conditional-branch mispredictions (deterministic
-                // fractional accounting of the expected penalty).
-                if (fl & DecodedProgram::kCondBranch) {
-                    t.mispredictDebt += mispredict_inc[pc];
-                    double whole = std::floor(t.mispredictDebt);
-                    if (whole >= 1.0) {
-                        t.blockUntil = now + whole;
-                        t.mispredictDebt -= whole;
-                    }
-                }
-
-                // Advance, wrapping at the end of the thread's
-                // own loop body.
-                ++t.pc;
-                if (t.pc == t.end) {
-                    t.pc = t.begin;
-                    ++t.iter;
-                }
-            }
-        }
-
-        // Hidden unit-overlap power: cycles in which several
-        // different units fire cost extra (simultaneous switching on
-        // shared dispatch/bypass resources). This is what makes
-        // instruction *order* matter for power (Section 6).
-        int u_cnt = __builtin_popcount(issued_units);
-        if (u_cnt >= 2) {
-            double e = opts.overlapNjPerCycle *
-                       std::pow(u_cnt - 1.0, 1.5);
-            live.energyNj += e;
-            live.overlapNj += e;
-        }
-
-        ++cycle_count;
-        if (any_issued || min_blocker <= now + 1.0 + kEps) {
-            now += 1.0;
-        } else if (min_blocker > 1e299) {
-            panic(cat("deadlocked simulation in ", dec.name));
-        } else {
-            now = std::ceil(min_blocker - kEps);
-        }
-
-        if (!measuring && allReached(warm)) {
-            measuring = true;
-            snapshot = live;
-            snapshot_time = now;
-        }
-        if (measuring && allReached(target))
-            break;
-        if (now > kMaxCycles)
-            panic(cat("simulation of ", dec.name,
-                      " exceeded cycle cap"));
+    switch (threads) {
+      case 1: return runCoreLoop<1>(dec, opts, cache, ts);
+      case 2: return runCoreLoop<2>(dec, opts, cache, ts);
+      default: return runCoreLoop<4>(dec, opts, cache, ts);
     }
-
-    CoreResult res;
-    res.window = live - snapshot;
-    res.window.cycles = now - snapshot_time;
-    res.iterations = static_cast<int>(target - warm);
-    res.threads = threads;
-    return res;
 }
 
 namespace

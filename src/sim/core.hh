@@ -15,7 +15,11 @@
  * One engine runs every simulation: simulateCoreDecoded, over the
  * structure-of-arrays DecodedProgram. simulateCore and
  * simulateCoreHetero validate their programs, decode them and call
- * it.
+ * it. Its cycle loop is compiled once per SMT width (1, 2 and 4).
+ * A stalled thread is not probed again before its wake time, and
+ * the stall-skip target is computed only in steps where nothing
+ * issued; both skips are exact under the scheduler invariants in
+ * docs/MODEL.md.
  *
  * Because every micro-benchmark is an endless loop, the core reaches
  * a periodic steady state; the simulator warms up for a few

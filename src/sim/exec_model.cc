@@ -467,6 +467,14 @@ decodeThreads(const ExecModel &exec, const Program *const *progs,
             } else {
                 out.depSrc[s] = -1;
             }
+            // The simulator walks a memory slot's stream without
+            // bounds checks, so the stream must exist and hold lines.
+            if (ei.isMem && pi.stream >= 0 &&
+                (static_cast<size_t>(pi.stream) >= prog.streams.size() ||
+                 prog.streams[static_cast<size_t>(pi.stream)]
+                     .lines.empty()))
+                fatal(cat("decode: slot ", i, " of ", prog.name,
+                          " reads missing or empty stream ", pi.stream));
             out.stream[s] =
                 pi.stream >= 0
                     ? static_cast<int32_t>(stream_base) + pi.stream

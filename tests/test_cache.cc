@@ -109,6 +109,32 @@ TEST(CacheLevel, ResetInvalidates)
     EXPECT_FALSE(c.probe(0x40));
 }
 
+TEST(CacheLevel, ResetPicksVictimsLikeAFreshLevel)
+{
+    // A filled-then-reset level must behave like a new one: no
+    // stale line hits, an invalid way wins the victim scan over
+    // every valid way, and LRU order restarts. 64 lines over the 8
+    // sets (8 per 4-way set) evict constantly; comparing the
+    // resident set after every access compares every victim.
+    uint64_t state = 12345;
+    auto next_addr = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return (state >> 33) % 64 * 64;
+    };
+    CacheLevel used(smallGeom());
+    for (int i = 0; i < 1000; ++i)
+        used.access(next_addr());
+    used.reset();
+    CacheLevel fresh(smallGeom());
+    for (int i = 0; i < 2000; ++i) {
+        uint64_t addr = next_addr();
+        ASSERT_EQ(used.access(addr), fresh.access(addr)) << "access " << i;
+        for (uint64_t line = 0; line < 64; ++line)
+            ASSERT_EQ(used.probe(line * 64), fresh.probe(line * 64))
+                << "line " << line << " after access " << i;
+    }
+}
+
 TEST(CacheLevelDeath, BadGeometryFatal)
 {
     CacheGeometry g{1000, 3, 64}; // not consistent

@@ -5,7 +5,8 @@
  * field bit for bit. Covers the CI perf corpus (memory + random
  * programs, 1 K bodies) on every SMT mode at the first-pass memory
  * latency of each swept frequency and at contended latencies, plus
- * heterogeneous SMT co-runs of mixed programs and body sizes.
+ * heterogeneous SMT co-runs of mixed programs and body sizes, and
+ * bodies that drive each of the engine's stall-skip paths.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -111,17 +113,64 @@ struct Corpus
             programs.push_back(std::move(gb.program));
     }
 
-    /** A single-instruction loop (the extension tests' shape). */
+    /** A loop cycling through @p ops, independent or, for @p dep
+     * > 0, each slot reading the result of the slot @p dep before
+     * it. */
     Program
-    loopOf(const std::string &op, size_t n = 512)
+    sequenceLoop(const std::vector<std::string> &ops, size_t n = 512,
+                 int dep = 0)
     {
+        std::vector<Isa::OpIndex> seq;
+        std::string name;
+        for (const std::string &op : ops) {
+            seq.push_back(arch.isa().find(op));
+            name += op + "-";
+        }
         Synthesizer s(arch, 99);
         s.addPass<SkeletonPass>(n);
-        s.addPass<SequencePass>(
-            std::vector<Isa::OpIndex>{arch.isa().find(op)});
+        s.addPass<SequencePass>(seq);
         s.add(std::make_unique<DependencyDistancePass>(
-            DependencyDistancePass::none()));
-        return s.synthesize(op + "-loop");
+            dep > 0 ? DependencyDistancePass::fixed(dep)
+                    : DependencyDistancePass::none()));
+        return s.synthesize(name + "loop" +
+                            (dep > 0 ? "-dep" + std::to_string(dep) : ""));
+    }
+
+    /** A single-instruction loop (the extension tests' shape). */
+    Program
+    loopOf(const std::string &op, size_t n = 512, int dep = 0)
+    {
+        return sequenceLoop({op}, n, dep);
+    }
+
+    /** loopOf(@p op) with every memory slot walking one stream
+     * served from @p level. */
+    Program
+    streamLoopOf(const std::string &op, HitLevel level)
+    {
+        Program p = loopOf(op);
+        AnalyticalCacheModel cm(arch.uarch());
+        p.streams.push_back(cm.makeStream(level, 0).stream);
+        for (auto &pi : p.body)
+            if (arch.isa().at(pi.op).isMemory())
+                pi.stream = 0;
+        return p;
+    }
+
+    /** A dependent mixed body with a conditional branch in every
+     * @p period slots, taken at @p taken_rate. */
+    Program
+    branchyLoop(size_t period, float taken_rate)
+    {
+        Synthesizer s(arch, 7);
+        s.addPass<SkeletonPass>(512);
+        s.addPass<SequencePass>(std::vector<Isa::OpIndex>{
+            arch.isa().find("add"), arch.isa().find("mulld"),
+            arch.isa().find("xvmaddadp")});
+        s.add(std::make_unique<DependencyDistancePass>(
+            DependencyDistancePass::fixed(2)));
+        s.addPass<BranchModelPass>(period, taken_rate);
+        return s.synthesize("branchy-" + std::to_string(period));
     }
 
     /** The first-pass (uncontended) memory latency at @p ghz, as
@@ -277,5 +326,94 @@ TEST(CoreIdentity, CoRunOfOneProgramIsHomogeneous)
             countMismatches(simulateCoreHetero(exec, {&p, &p}, o),
                             simulateCore(exec, p, 2, o));
     }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CoreIdentity, StallSkipPathsMatchReference)
+{
+    // Bodies that hold each stall kind the engine skips over: long
+    // structural stalls on the FXU (divides, 1 of 2 pipes for 36
+    // cycles) and the VSU (divide and square root, 2 of 4 pipes for
+    // 27 and 31 cycles), store back-pressure on LSU pipe 0 from
+    // misses to memory, and mispredict blocks. Independent divide
+    // bodies starve a thread until the cycle cap at SMT 2 and 4
+    // (docs/MODEL.md, "Known limitations"), so the divide bodies
+    // here are dependence chains, and the FXU ones run at SMT 1
+    // and 2 only.
+    Corpus &c = corpus();
+    ExecModel exec(c.arch.isa());
+    struct Case
+    {
+        Program prog;
+        std::vector<int> smts;
+        std::vector<int> lats;
+    };
+    const int lat = c.firstPassLatency(3.0);
+    const std::vector<int> contended(std::begin(kContendedLatencies),
+                                     std::end(kContendedLatencies));
+    std::vector<Case> cases;
+    for (int dep : {1, 2})
+        for (const char *op : {"divd", "divw"})
+            cases.push_back({c.loopOf(op, 512, dep), {1, 2}, {lat}});
+    for (const char *op : {"xsdivdp", "xvdivdp", "fsqrt", "xvsqrtdp"})
+        cases.push_back({c.loopOf(op, 512, 1), {1, 2, 4}, {lat}});
+    // One-pipe decimal ops beside two-pipe divides and square roots
+    // leave a free VSU pipe that is not enough for the next op: the
+    // stall skip's one-cycle advance.
+    for (int dep : {0, 2})
+        for (const std::vector<std::string> &ops :
+             {std::vector<std::string>{"dadd", "xsdivdp"},
+              std::vector<std::string>{"dadd", "fsqrt"},
+              std::vector<std::string>{"ddiv", "xvdivdp", "vaddubm"}})
+            cases.push_back({c.sequenceLoop(ops, 512, dep), {1, 2, 4}, {lat}});
+    // Stores that all miss to memory; the VSU-steered stfd starves
+    // a thread at SMT 2 and 4 as the divides do.
+    for (const char *op : {"std", "stdu"})
+        cases.push_back(
+            {c.streamLoopOf(op, HitLevel::Mem), {1, 2, 4}, contended});
+    cases.push_back({c.streamLoopOf("stfd", HitLevel::Mem), {1}, contended});
+    cases.push_back({c.branchyLoop(3, 0.5f), {1, 2, 4}, {lat}});
+    cases.push_back({c.branchyLoop(5, 0.2f), {1, 2, 4}, {lat}});
+
+    int sims = 0, mismatches = 0;
+    for (const Case &k : cases)
+        for (int smt : k.smts)
+            for (int l : k.lats) {
+                SCOPED_TRACE(k.prog.name + " smt " +
+                             std::to_string(smt) + " lat " +
+                             std::to_string(l));
+                CoreSimOptions o = c.options(l);
+                CoreResult got = simulateCore(exec, k.prog, smt, o);
+                mismatches += countMismatches(
+                    got, reference::simulateCore(exec, k.prog, smt, o));
+                EXPECT_GT(got.window.instrs, 0.0);
+                ++sims;
+            }
+    EXPECT_EQ(sims, 4 * 2 + 4 * 3 + 6 * 3 + (2 * 3 + 1) * 2 + 2 * 3);
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CoreIdentity, NoWarmupSingleIterationMatchesReference)
+{
+    // warmupIters = 0 opens the window at the end of the first
+    // step; measureIters = 1 closes it once every thread has
+    // wrapped its loop once.
+    Corpus &c = corpus();
+    ExecModel exec(c.arch.isa());
+    std::vector<Program> progs = {c.programs.front(), c.programs.back(),
+                                  c.branchyLoop(3, 0.5f),
+                                  c.loopOf("xsdivdp", 512, 1)};
+    int mismatches = 0;
+    for (const Program &p : progs)
+        for (int smt : {1, 2, 4}) {
+            SCOPED_TRACE(p.name + " smt " + std::to_string(smt));
+            CoreSimOptions o = c.options(c.firstPassLatency(3.0));
+            o.warmupIters = 0;
+            o.measureIters = 1;
+            CoreResult got = simulateCore(exec, p, smt, o);
+            EXPECT_EQ(got.iterations, 1);
+            mismatches += countMismatches(
+                got, reference::simulateCore(exec, p, smt, o));
+        }
     EXPECT_EQ(mismatches, 0);
 }

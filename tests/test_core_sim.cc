@@ -314,6 +314,19 @@ TEST(CoreSimDeath, EmptyProgramFatal)
                 testing::ExitedWithCode(1), "empty program");
 }
 
+TEST(CoreSimDeath, MissingOrEmptyStreamFatal)
+{
+    ExecModel exec(isa);
+    // A load reading stream 0 of a program without streams...
+    Program p = loopOf("lbz", 64, 0, 0);
+    EXPECT_EXIT(simulateCore(exec, p, 1), testing::ExitedWithCode(1),
+                "missing or empty stream");
+    // ...and of one whose stream has no lines.
+    p.streams.emplace_back();
+    EXPECT_EXIT(simulateCore(exec, p, 1), testing::ExitedWithCode(1),
+                "missing or empty stream");
+}
+
 TEST(CoreSimDeath, BadThreadCountFatal)
 {
     Program p = loopOf("add", 64, 0);

@@ -251,50 +251,119 @@ TEST(LintObsIsolation, EngineFilesAndCleanCodePass)
 // ----------------------------------------------------------------
 // Rule: hot-path-alloc.
 
+namespace
+{
+
+/** Clean definitions of the two hot-path functions, so that a
+ * fixture's only findings are the ones it plants. */
+const char *const kCleanEntry = "RunCounters simulateCoreDecoded(int n) {\n"
+                                "    return runCoreLoop<1>(n);\n"
+                                "}\n";
+const char *const kCleanLoop = "template <int N>\n"
+                               "RunCounters runCoreLoop(int n) {\n"
+                               "    double acc = 0;\n"
+                               "    return {};\n"
+                               "}\n";
+
+/** The hot-path-alloc findings of @p text linted as core.cc. */
+std::vector<LintFinding>
+hotPathFindings(const std::string &text)
+{
+    std::vector<LintFinding> out;
+    for (const LintFinding &f : lintSourceText("src/sim/core.cc", text))
+        if (f.rule == "hot-path-alloc")
+            out.push_back(f);
+    return out;
+}
+
+} // namespace
+
+TEST(LintHotPath, CleanHotPathPasses)
+{
+    EXPECT_TRUE(
+        hotPathFindings(std::string(kCleanEntry) + kCleanLoop).empty());
+}
+
 TEST(LintHotPath, FlagsHeapInSimulateCoreDecoded)
 {
-    const char *path = "src/sim/core.cc";
-    EXPECT_TRUE(hasRule(
-        lintSourceText(path,
-                       "RunCounters simulateCoreDecoded(int n) {\n"
-                       "    auto *p = new double[8];\n"
-                       "    return {};\n"
-                       "}\n"),
-        "hot-path-alloc"));
-    EXPECT_TRUE(hasRule(
-        lintSourceText(path,
-                       "RunCounters simulateCoreDecoded(int n) {\n"
-                       "    std::vector<double> v;\n"
-                       "    v.push_back(1.0);\n"
-                       "    return {};\n"
-                       "}\n"),
-        "hot-path-alloc"));
+    auto f = hotPathFindings(std::string(kCleanLoop) +
+                             "RunCounters simulateCoreDecoded(int n) {\n"
+                             "    auto *p = new double[8];\n"
+                             "    return {};\n"
+                             "}\n");
+    ASSERT_EQ(f.size(), 1u);
+    EXPECT_EQ(f[0].line, 7);
+    f = hotPathFindings(std::string(kCleanLoop) +
+                        "RunCounters simulateCoreDecoded(int n) {\n"
+                        "    std::vector<double> v;\n"
+                        "    v.push_back(1.0);\n"
+                        "    return {};\n"
+                        "}\n");
+    ASSERT_EQ(f.size(), 1u);
+    EXPECT_EQ(f[0].line, 8);
+}
+
+TEST(LintHotPath, FlagsHeapInTheLoopHelper)
+{
+    // The cycle loop lives in a template helper the entry point
+    // dispatches to; its body is as hot as the entry's.
+    auto f = hotPathFindings(std::string(kCleanEntry) +
+                             "template <int N>\n"
+                             "RunCounters runCoreLoop(int n) {\n"
+                             "    for (;;) {\n"
+                             "        pending.push_back(n);\n"
+                             "    }\n"
+                             "}\n");
+    ASSERT_EQ(f.size(), 1u);
+    EXPECT_EQ(f[0].line, 7);
+}
+
+TEST(LintHotPath, FlagsHeapInASecondDefinition)
+{
+    // Every definition is scanned, not only the first: an overload
+    // and an explicit specialization each carry a planted
+    // allocation.
+    auto f = hotPathFindings(std::string(kCleanEntry) + kCleanLoop +
+                             "RunCounters runCoreLoop(long n) {\n"
+                             "    auto v = std::make_unique<int>(1);\n"
+                             "    return {};\n"
+                             "}\n"
+                             "template <>\n"
+                             "RunCounters runCoreLoop<4>(int n) {\n"
+                             "    names.emplace_back(\"x\");\n"
+                             "    return {};\n"
+                             "}\n");
+    ASSERT_EQ(f.size(), 2u);
+    EXPECT_EQ(f[0].line, 10);
+    EXPECT_EQ(f[1].line, 15);
 }
 
 TEST(LintHotPath, OutsideTheFunctionIsFine)
 {
-    // Allocation before/after the hot function is not the rule's
-    // business; neither are annotated cold paths inside it.
+    // Allocation before/after the hot functions is not the rule's
+    // business; neither are annotated cold paths inside them, nor
+    // call sites that name the helper.
     EXPECT_TRUE(lintSourceText(
                     "src/sim/core.cc",
-                    "static double *table = new double[64];\n"
-                    "RunCounters simulateCoreDecoded(int n) {\n"
-                    "    double acc = 0;\n"
-                    "    // lint: hotpath-alloc-ok(cold abort)\n"
-                    "    if (n < 0) details.push_back(n);\n"
-                    "    return {};\n"
-                    "}\n"
-                    "void after() { new int; }\n")
+                    std::string("static double *table = new double[64];\n"
+                                "RunCounters simulateCoreDecoded(int n) {\n"
+                                "    double acc = 0;\n"
+                                "    // lint: hotpath-alloc-ok(cold abort)\n"
+                                "    if (n < 0) details.push_back(n);\n"
+                                "    return runCoreLoop<2>(n);\n"
+                                "}\n") +
+                        kCleanLoop + "void after() { new int; }\n")
                     .empty());
 }
 
 TEST(LintHotPath, MissingFunctionIsAFinding)
 {
-    // core.cc without simulateCoreDecoded means the hot path moved
-    // and the rule scope must move with it.
-    EXPECT_TRUE(hasRule(
-        lintSourceText("src/sim/core.cc", "int unrelated;\n"),
-        "hot-path-alloc"));
+    // core.cc without a hot-path function means the hot path moved
+    // and the rule scope must move with it: the entry point, the
+    // loop helper, and both.
+    EXPECT_EQ(hotPathFindings(kCleanLoop).size(), 1u);
+    EXPECT_EQ(hotPathFindings(kCleanEntry).size(), 1u);
+    EXPECT_EQ(hotPathFindings("int unrelated;\n").size(), 2u);
 }
 
 // ----------------------------------------------------------------

@@ -187,8 +187,9 @@ TEST(Trace, SpansPairAndTimestampsAreMonotonePerThread)
     std::map<int, std::vector<std::string>> open;
     std::map<int, long long> last_ts;
     for (const ParsedEvent &e : evs) {
-        if (last_ts.count(e.tid))
+        if (last_ts.count(e.tid)) {
             EXPECT_GE(e.ts, last_ts[e.tid]) << e.name;
+        }
         last_ts[e.tid] = e.ts;
         if (e.phase == 'B') {
             open[e.tid].push_back(e.name);
