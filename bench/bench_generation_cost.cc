@@ -10,7 +10,10 @@
  * Unlike the figure/table benches, the Machine::run calls here are
  * deliberately NOT routed through Campaign::measure: raw simulation
  * cost is the quantity under measurement, and the campaign's result
- * cache would short-circuit exactly the code being timed.
+ * cache would short-circuit exactly the code being timed. For the
+ * same reason every timed iteration runs on a fresh Machine, built
+ * outside the timed region: a reused machine's run() memo would
+ * serve every iteration after the first.
  */
 
 #include <benchmark/benchmark.h>
@@ -35,10 +38,13 @@ arch()
     return a;
 }
 
-Machine &
-machine()
+/** A machine with an empty run() memo, built untimed. */
+Machine
+freshMachine(benchmark::State &state)
 {
-    static Machine m(arch().isa());
+    state.PauseTiming();
+    Machine m(arch().isa());
+    state.ResumeTiming();
     return m;
 }
 
@@ -89,7 +95,7 @@ BM_SimulateCompute(benchmark::State &state)
     Program p = s.synthesize("bm-sim");
     ChipConfig cfg{1, static_cast<int>(state.range(0))};
     for (auto _ : state) {
-        RunResult r = machine().run(p, cfg);
+        RunResult r = freshMachine(state).run(p, cfg);
         benchmark::DoNotOptimize(r.sensorWatts);
     }
 }
@@ -107,7 +113,7 @@ BM_SimulateMemoryBound(benchmark::State &state)
         DependencyDistancePass::random(4, 16)));
     Program p = s.synthesize("bm-mem");
     for (auto _ : state) {
-        RunResult r = machine().run(p, ChipConfig{8, 1});
+        RunResult r = freshMachine(state).run(p, ChipConfig{8, 1});
         benchmark::DoNotOptimize(r.sensorWatts);
     }
 }
@@ -122,7 +128,7 @@ BM_BootstrapOneInstruction(benchmark::State &state)
     bo.bodySize = 1024;
     Isa::OpIndex op = a.isa().find("xvmaddadp");
     for (auto _ : state) {
-        auto e = bootstrapInstruction(a, machine(), op, bo);
+        auto e = bootstrapInstruction(a, freshMachine(state), op, bo);
         benchmark::DoNotOptimize(e.epiNj);
     }
 }

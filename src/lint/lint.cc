@@ -658,6 +658,12 @@ struct CoveragePair
 const CoveragePair kCoveragePairs[] = {
     {"src/sim/machine.hh", "GroundTruthParams",
      "src/sim/machine.cc", "fingerprint"},
+    // Both keys over the simulation options: the result-cache keys
+    // (through the machine fingerprint) and Machine::run's memo.
+    {"src/sim/core.hh", "CoreSimOptions",
+     "src/sim/machine.cc", "fingerprint"},
+    {"src/sim/core.hh", "CoreSimOptions",
+     "src/sim/machine.cc", "simOptionsDigest"},
     {"src/campaign/spec.hh", "CampaignSpec",
      "src/campaign/campaign.cc", "campaignFingerprint"},
 };

@@ -7,12 +7,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <map>
+#include <tuple>
+#include <type_traits>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
+#include "util/thread_annotations.hh"
 
 namespace mprobe
 {
@@ -33,15 +38,194 @@ ChipConfig::label() const
     return cat(cores, "-", smt);
 }
 
+namespace
+{
+
+/**
+ * A fast digest over 8-byte words for the run() memo key: four
+ * independent multiply-rotate lanes (xxHash64's round). It hashes a
+ * 2,048-instruction body ~16x faster than the byte-at-a-time
+ * Hasher, which would cost a fifth of the body's SMT-1 simulation.
+ * It keys an in-process memo and is never persisted, so it may
+ * change between builds.
+ */
+class WordDigest
+{
+  public:
+    /** Mix one word. */
+    WordDigest &
+    add(uint64_t w)
+    {
+        lanes[0] = round(lanes[0], w);
+        return *this;
+    }
+
+    /** Mix @p bytes raw bytes, preceded by their count. */
+    void
+    addBytes(const void *data, size_t bytes)
+    {
+        add(bytes);
+        const auto *p = static_cast<const unsigned char *>(data);
+        for (; bytes >= 32; bytes -= 32, p += 32)
+            for (int i = 0; i < 4; ++i)
+                lanes[i] = round(lanes[i], load(p + 8 * i, 8));
+        while (bytes > 0) {
+            size_t n = std::min<size_t>(bytes, 8);
+            add(load(p, n));
+            p += n;
+            bytes -= n;
+        }
+    }
+
+    uint64_t
+    digest() const
+    {
+        uint64_t h = rotl(lanes[0], 1) + rotl(lanes[1], 7) +
+                     rotl(lanes[2], 12) + rotl(lanes[3], 18);
+        h = (h ^ (h >> 33)) * kP2;
+        h = (h ^ (h >> 29)) * kP3;
+        return h ^ (h >> 32);
+    }
+
+  private:
+    static constexpr uint64_t kP1 = 0x9e3779b185ebca87ull;
+    static constexpr uint64_t kP2 = 0xc2b2ae3d27d4eb4full;
+    static constexpr uint64_t kP3 = 0x165667b19e3779f9ull;
+
+    uint64_t lanes[4] = {kP1 + kP2, kP2, 0, 0 - kP1};
+
+    static uint64_t
+    rotl(uint64_t x, int r)
+    {
+        return (x << r) | (x >> (64 - r));
+    }
+    static uint64_t
+    round(uint64_t acc, uint64_t w)
+    {
+        return rotl(acc + w * kP2, 31) * kP1;
+    }
+    /** Up to 8 bytes as one zero-padded host-order word. */
+    static uint64_t
+    load(const unsigned char *p, size_t n)
+    {
+        uint64_t w = 0;
+        std::memcpy(&w, p, n);
+        return w;
+    }
+};
+
+uint64_t
+doubleBits(double v)
+{
+    uint64_t w;
+    std::memcpy(&w, &v, sizeof w);
+    return w;
+}
+
+/**
+ * Digest of everything in a Program the core simulation reads: the
+ * raw bytes of the body and of every memory stream. The name is
+ * left out: the simulator only prints it in panic messages, and the
+ * sensor seed takes it in finishRun, outside the memo.
+ */
+uint64_t
+programDigest(const Program &prog)
+{
+    static_assert(sizeof(ProgInst) == 20 &&
+                      std::is_trivially_copyable_v<ProgInst>,
+                  "ProgInst must stay padding-free for its raw "
+                  "bytes to be its content");
+    WordDigest d;
+    d.addBytes(prog.body.data(), prog.body.size() * sizeof(ProgInst));
+    d.add(prog.streams.size());
+    for (const MemStream &s : prog.streams)
+        d.addBytes(s.lines.data(), s.lines.size() * sizeof(uint64_t));
+    return d.digest();
+}
+
+/** Digest of every CoreSimOptions field (lint-checked coverage). */
+uint64_t
+simOptionsDigest(const CoreSimOptions &o)
+{
+    WordDigest d;
+    d.add(static_cast<uint64_t>(o.memLatency))
+        .add(static_cast<uint64_t>(o.warmupIters))
+        .add(static_cast<uint64_t>(o.measureIters))
+        .add(o.prefetch)
+        .add(static_cast<uint64_t>(o.mispredictPenalty))
+        .add(doubleBits(o.overlapNjPerCycle))
+        .add(doubleBits(o.transitionNjPerInstr))
+        .add(doubleBits(o.transitionGateNj))
+        .add(o.cacheGeoms.size());
+    for (const CacheGeometry &g : o.cacheGeoms)
+        d.add(g.sizeBytes)
+            .add(static_cast<uint64_t>(g.assoc))
+            .add(static_cast<uint64_t>(g.lineBytes));
+    return d.digest();
+}
+
+} // namespace
+
+/**
+ * The finished core simulations of run(), keyed by what a core
+ * simulation is a pure function of (docs/MODEL.md, "The run()
+ * memo"). Lookups and inserts hold the mutex; simulations never do.
+ * Two threads that miss one key both simulate, and the second
+ * insert is dropped: the two results are identical.
+ */
+struct Machine::RunMemo
+{
+    struct Key
+    {
+        uint64_t program;
+        uint64_t options;
+        int smt;
+        int latMem;
+
+        bool
+        operator<(const Key &o) const
+        {
+            return std::tie(program, options, smt, latMem) <
+                   std::tie(o.program, o.options, o.smt, o.latMem);
+        }
+    };
+
+    bool
+    find(const Key &key, CoreResult &out)
+    {
+        MutexLock lock(mutex);
+        auto it = entries.find(key);
+        if (it == entries.end())
+            return false;
+        out = it->second;
+        return true;
+    }
+
+    void
+    insert(const Key &key, const CoreResult &core)
+    {
+        MutexLock lock(mutex);
+        if (entries.size() >= kRunMemoCap)
+            entries.clear();
+        entries.emplace(key, core);
+    }
+
+  private:
+    Mutex mutex;
+    std::map<Key, CoreResult> entries GUARDED_BY(mutex);
+};
+
 Machine::Machine(const Isa &isa, const GroundTruthParams &p)
-    : isaPtr(&isa), exec(isa), params(p)
+    : isaPtr(&isa), exec(isa), params(p),
+      runMemo(std::make_shared<RunMemo>())
 {
 }
 
 Machine::Machine(const Isa &isa,
                  const std::vector<CacheGeometry> &geoms,
                  double clock_ghz, const GroundTruthParams &p)
-    : isaPtr(&isa), exec(isa), params(p)
+    : isaPtr(&isa), exec(isa), params(p),
+      runMemo(std::make_shared<RunMemo>())
 {
     params.clockGhz = clock_ghz;
     simOpts.cacheGeoms = geoms;
@@ -171,9 +355,11 @@ Machine::contendedMemLatency(const CoreResult &core,
         return 0;
     double factor = 1.0 + params.memContentionK * mem_per_cycle *
                               (cfg.cores - 1);
+    // Scales the machine's configured latency, like the first pass:
+    // contention must never make a raised latency faster.
     return std::max(
         1, static_cast<int>(std::lround(
-               ExecModel::memLatencyBase * lat_scale * factor)));
+               simOpts.memLatency * lat_scale * factor)));
 }
 
 RunResult
@@ -182,15 +368,35 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
 {
     validateRun(prog, cfg, op);
 
-    // Decoding a ~1 K-instruction body is noise next to the
-    // millions of simulated cycles it feeds, so a single run
-    // decodes fresh every time (only Batch assumes a stable
-    // program identity); the thread-local scratch still removes
-    // all steady-state allocation and cache-array construction.
+    // A core simulation is a pure function of the program's
+    // content, the SMT width, the effective memory latency and the
+    // simulation options, so run() calls share finished ones
+    // through the machine's memo (the 8 core counts of one SMT
+    // mode, a repeated design point, a re-measured job). A miss
+    // decodes, at most once per call, into thread-local scratch
+    // that keeps steady-state simulation allocation-free, and
+    // simulates outside the memo's lock.
     thread_local DecodedProgram decoded;
     thread_local SimScratch scratch;
-    exec.decode(prog, simOpts.mispredictPenalty,
-                simOpts.transitionGateNj, decoded);
+    bool have_decode = false;
+    const uint64_t prog_digest = programDigest(prog);
+    const uint64_t opts_digest = simOptionsDigest(simOpts);
+    auto simAt = [&](int lat_mem) {
+        const RunMemo::Key key{prog_digest, opts_digest, cfg.smt, lat_mem};
+        CoreResult core;
+        if (runMemo->find(key, core)) {
+            obs::counter("run_memo_hits").add();
+            return core;
+        }
+        if (!have_decode) {
+            decodeTraced(prog, decoded);
+            have_decode = true;
+        }
+        obs::counter("run_core_sims").add();
+        core = simulateTraced(decoded, cfg.smt, lat_mem, scratch);
+        runMemo->insert(key, core);
+        return core;
+    };
 
     // Main-memory latency is fixed in nanoseconds; its cycle count
     // follows the core clock. Core/cache latencies are clock-domain
@@ -198,16 +404,10 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
     // point, so the pre-DVFS path is reproduced bit for bit. The
     // first pass runs at the uncontended memory latency.
     double lat_scale = op.freqGhz / params.clockGhz;
-    CoreSimOptions opts = simOpts;
-    opts.memLatency = firstPassMemLatency(lat_scale);
-    CoreResult core =
-        simulateCoreDecoded(decoded, cfg.smt, opts, scratch);
-
+    CoreResult core = simAt(firstPassMemLatency(lat_scale));
     int contended = contendedMemLatency(core, cfg, lat_scale);
-    if (contended > 0) {
-        opts.memLatency = contended;
-        core = simulateCoreDecoded(decoded, cfg.smt, opts, scratch);
-    }
+    if (contended > 0)
+        core = simAt(contended);
     return finishRun(prog, cfg, op, salt, core);
 }
 
@@ -267,13 +467,34 @@ Machine::finishRun(const Program &prog, const ChipConfig &cfg,
     return res;
 }
 
+void
+Machine::decodeTraced(const Program &prog, DecodedProgram &out) const
+{
+    obs::TraceSpan span("sim.decode");
+    span.note("instructions", static_cast<double>(prog.size()));
+    exec.decode(prog, simOpts.mispredictPenalty,
+                simOpts.transitionGateNj, out);
+}
+
+CoreResult
+Machine::simulateTraced(const DecodedProgram &dec, int smt, int lat_mem,
+                        SimScratch &scratch) const
+{
+    obs::TraceSpan span("sim.core");
+    span.note("smt", smt);
+    span.note("lat_mem", lat_mem);
+    CoreSimOptions opts = simOpts;
+    opts.memLatency = lat_mem;
+    CoreResult core = simulateCoreDecoded(dec, smt, opts, scratch);
+    obs::gauge("arena_high_water_bytes")
+        .max(static_cast<double>(scratch.arena.capacityBytes()));
+    return core;
+}
+
 Machine::Batch::Batch(const Machine &machine, const Program &p)
     : m(machine), prog(p)
 {
-    obs::TraceSpan span("sim.decode");
-    span.note("instructions", static_cast<double>(p.size()));
-    m.exec.decode(p, m.simOpts.mispredictPenalty,
-                  m.simOpts.transitionGateNj, decoded);
+    m.decodeTraced(p, decoded);
 }
 
 const CoreResult &
@@ -289,18 +510,8 @@ Machine::Batch::simAt(int smt, int lat_mem)
             return e.core;
         }
     obs::counter("batch_core_sims").add();
-    CoreSimOptions opts = m.simOpts;
-    opts.memLatency = lat_mem;
-    {
-        obs::TraceSpan span("sim.core");
-        span.note("smt", smt);
-        span.note("lat_mem", lat_mem);
-        memo.push_back(
-            {smt, lat_mem,
-             simulateCoreDecoded(decoded, smt, opts, scratch)});
-    }
-    obs::gauge("arena_high_water_bytes")
-        .max(static_cast<double>(scratch.arena.capacityBytes()));
+    CoreResult core = m.simulateTraced(decoded, smt, lat_mem, scratch);
+    memo.push_back({smt, lat_mem, core});
     return memo.back().core;
 }
 

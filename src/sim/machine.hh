@@ -19,6 +19,7 @@
 #ifndef SIM_MACHINE_HH
 #define SIM_MACHINE_HH
 
+#include <memory>
 #include <string>
 
 #include "dvfs/op_point.hh"
@@ -153,11 +154,16 @@ struct RunResult
  * The simulated machine: deploy a micro-benchmark on a CMP/SMT
  * configuration and measure counters and power.
  *
- * Thread safety: run() and idleWatts() are const and touch only
- * local state — concurrent calls on one Machine from campaign
- * worker threads are safe as long as nobody mutates simOptions()
- * concurrently. Results depend only on (program, config, salt), so
- * a parallel campaign reproduces a serial one exactly.
+ * Thread safety: run() and idleWatts() are const, and concurrent
+ * calls on one Machine from campaign worker threads are safe as
+ * long as nobody mutates simOptions() concurrently. run() shares
+ * finished core simulations through a mutex-guarded memo (copies of
+ * a Machine share it too); it never simulates under the lock, and
+ * its key covers the program's content, the SMT mode, the effective
+ * memory latency and every simOptions() field, so a hit returns
+ * exactly what a fresh simulation would. Results depend only on
+ * (program, config, salt), so a parallel campaign reproduces a
+ * serial one exactly.
  */
 class Machine
 {
@@ -202,6 +208,12 @@ class Machine
                   const OperatingPoint &op, uint64_t salt = 0) const;
 
     /**
+     * Entries run()'s memo holds before it is cleared (~3 MB). A
+     * Table-2 campaign through --serve holds about 1,900.
+     */
+    static constexpr size_t kRunMemoCap = 16384;
+
+    /**
      * Decode-once batched evaluator: decodes one program on
      * construction and serves run() calls for any number of
      * CMP/SMT x operating-point requests over the decoded form,
@@ -210,8 +222,9 @@ class Machine
      * effective memory latency alone — core count enters through
      * counter scaling and the contention latency). Results are
      * bit-identical to per-job Machine::run, which runs the same
-     * engine without the memo. Not thread-safe; one Batch per
-     * worker thread.
+     * engine and shares simulations through the machine's memo;
+     * a Batch keeps its own memo, local to its one program. Not
+     * thread-safe; one Batch per worker thread.
      */
     class Batch
     {
@@ -283,6 +296,9 @@ class Machine
     ExecModel exec;
     GroundTruthParams params;
     CoreSimOptions simOpts;
+    /** Finished core simulations shared by run() (machine.cc). */
+    struct RunMemo;
+    std::shared_ptr<RunMemo> runMemo;
 
     double staticCmpWatts(int cores) const;
     double sensorize(double watts, uint64_t seed) const;
@@ -302,6 +318,13 @@ class Machine
     int contendedMemLatency(const CoreResult &core,
                             const ChipConfig &cfg,
                             double lat_scale) const;
+    /** Decode @p prog for this machine's options, traced as
+     * sim.decode. */
+    void decodeTraced(const Program &prog, DecodedProgram &out) const;
+    /** One core simulation at (@p smt, @p lat_mem), traced as
+     * sim.core. */
+    CoreResult simulateTraced(const DecodedProgram &dec, int smt, int lat_mem,
+                              SimScratch &scratch) const;
     /** Shared tail of every run variant: power composition and
      * sensor readout from a finished core simulation. */
     RunResult finishRun(const Program &prog, const ChipConfig &cfg,

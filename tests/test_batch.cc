@@ -2,18 +2,24 @@
  * @file
  * Tests for the decode-once batched execution engine: the arena
  * allocator, Machine::Batch bit-identity against per-run
- * Machine::run, and campaigns routed through the batched path.
- * The core simulator itself is checked against the reference loop
- * in test_core_identity.
+ * Machine::run, the exactness of the core-simulation memo that
+ * Machine::run shares across calls, and campaigns routed through
+ * the batched path. The core simulator itself is checked against
+ * the reference loop in test_core_identity.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <random>
+#include <thread>
 
 #include "campaign/campaign.hh"
 #include "microprobe/cache_model.hh"
+#include "obs/metrics.hh"
 #include "power/sample.hh"
 #include "sim/arena.hh"
 #include "sim/machine.hh"
@@ -50,12 +56,10 @@ memLoop(HitLevel lvl)
     return p;
 }
 
-/** Every field of two RunResults must match to the bit. */
+/** Every chip counter of two RunResults must match to the bit. */
 void
-expectSameResult(const RunResult &a, const RunResult &b)
+expectSameCounters(const RunResult &a, const RunResult &b)
 {
-    EXPECT_EQ(a.config.cores, b.config.cores);
-    EXPECT_EQ(a.config.smt, b.config.smt);
     EXPECT_EQ(a.chip.cycles, b.chip.cycles);
     EXPECT_EQ(a.chip.instrs, b.chip.instrs);
     EXPECT_EQ(a.chip.fxuOps, b.chip.fxuOps);
@@ -72,6 +76,15 @@ expectSameResult(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.chip.energyNj, b.chip.energyNj);
     EXPECT_EQ(a.chip.overlapNj, b.chip.overlapNj);
     EXPECT_EQ(a.chip.transitionNj, b.chip.transitionNj);
+}
+
+/** Every field of two RunResults must match to the bit. */
+void
+expectSameResult(const RunResult &a, const RunResult &b)
+{
+    EXPECT_EQ(a.config.cores, b.config.cores);
+    EXPECT_EQ(a.config.smt, b.config.smt);
+    expectSameCounters(a, b);
     EXPECT_EQ(a.seconds, b.seconds);
     EXPECT_EQ(a.sensorWatts, b.sensorWatts);
     EXPECT_EQ(a.coreIpc, b.coreIpc);
@@ -262,6 +275,256 @@ TEST(Batch, NominalOperatingPointCollapses)
     // hitting.
     expectSameResult(batch.run({6, 2}, m.operatingPoint(), 42),
                      nominal);
+}
+
+// ---------------------------------------------------------------
+// The run() memo: Machine::run shares finished core simulations
+// across calls. Every test compares with a machine built for the
+// one call (freshRun), which no earlier call's entry can reach.
+
+namespace
+{
+
+RunResult
+freshRun(const Program &p, const ChipConfig &cfg, double freq_ghz = 0.0,
+         uint64_t salt = 0, const CoreSimOptions &opts = CoreSimOptions())
+{
+    Machine m(isa);
+    m.simOptions() = opts;
+    return m.run(p, cfg, m.operatingPoint(freq_ghz), salt);
+}
+
+uint64_t
+memoHits()
+{
+    return obs::counter("run_memo_hits").value();
+}
+
+uint64_t
+memoSims()
+{
+    return obs::counter("run_core_sims").value();
+}
+
+} // namespace
+
+TEST(RunMemo, EveryConfigAndClockMatchesAFreshMachine)
+{
+    const std::vector<Program> progs = {loopOf("add", 256, 0),
+                                        memLoop(HitLevel::Mem)};
+    const std::vector<ChipConfig> cfgs = ChipConfig::all();
+    Machine m(isa);
+    for (size_t k = 0; k < progs.size(); ++k)
+        for (double f : {0.0, 2.0, 3.5}) {
+            std::vector<RunResult> ref;
+            for (const ChipConfig &cfg : cfgs)
+                ref.push_back(freshRun(progs[k], cfg, f, 9));
+            uint64_t hits = memoHits();
+            uint64_t sims = memoSims();
+            for (size_t i = 0; i < cfgs.size(); ++i) {
+                SCOPED_TRACE(progs[k].name + " " + cfgs[i].label() +
+                             " @ " + std::to_string(f));
+                expectSameResult(
+                    m.run(progs[k], cfgs[i], m.operatingPoint(f), 9),
+                    ref[i]);
+            }
+            // The first passes of the 8 core counts of one SMT mode
+            // share one simulation, so 21 of the 24 jobs hit; a
+            // compute loop needs no contention rerun.
+            EXPECT_GE(memoHits() - hits, 21u);
+            if (k == 0) {
+                EXPECT_EQ(memoSims() - sims, 3u);
+            }
+        }
+}
+
+TEST(RunMemo, SameContentUnderAnotherNameSharesOnlyTheCore)
+{
+    Program a = memLoop(HitLevel::Mem);
+    a.name = "twin-a";
+    Program b = a;
+    b.name = "twin-b";
+    const ChipConfig cfg{8, 2};
+    RunResult fresh_a = freshRun(a, cfg, 0.0, 5);
+    RunResult fresh_b = freshRun(b, cfg, 0.0, 5);
+
+    Machine m(isa);
+    RunResult ra = m.run(a, cfg, 5);
+    uint64_t sims = memoSims();
+    RunResult rb = m.run(b, cfg, 5);
+    EXPECT_EQ(memoSims(), sims); // b's core came from a's entries
+    expectSameCounters(ra, rb);
+    // The sensor noise is still seeded by each program's own name.
+    expectSameResult(ra, fresh_a);
+    expectSameResult(rb, fresh_b);
+    EXPECT_NE(ra.sensorWatts, rb.sensorWatts);
+}
+
+TEST(RunMemo, SingleFieldVariantsNeverShareAResult)
+{
+    UarchDef u = builtinP7Uarch();
+    AnalyticalCacheModel cm(u);
+    Program base;
+    base.isa = &isa;
+    base.name = "b-variants";
+    base.streams.push_back(cm.makeStream(HitLevel::Mem, 0).stream);
+    base.streams.push_back(cm.makeStream(HitLevel::L2, 1).stream);
+    for (int i = 0; i < 16; ++i) {
+        base.body.push_back({isa.find("ld"), 0, i % 2, 1.0f, 1.0f});
+        base.body.push_back({isa.find("mulld"), 1, -1, 1.0f, 1.0f});
+        base.body.push_back(
+            {isa.find("xvmaddadp"), 0, -1, 0.5f, 1.0f});
+        base.body.push_back({isa.find("bc"), 0, -1, 1.0f, 0.5f});
+    }
+    base.body.push_back({isa.find("bdnz"), 0, -1, 1.0f, 1.0f});
+
+    // variants[0] is the base; each other one changes one field of
+    // one instruction, or one stream line. The last instruction
+    // sits in the body's partial tail word of the digest.
+    std::vector<Program> variants(8, base);
+    variants[1].body[1].op = isa.find("add");
+    variants[2].body[1].depDist = 3;
+    variants[3].body[0].stream = 1;
+    variants[4].body[2].toggle = 0.25f;
+    variants[5].body[3].takenRate = 0.25f;
+    variants[6].streams[0].lines[1] = variants[6].streams[0].lines[0];
+    variants[7].body.back().takenRate = 0.5f;
+
+    const ChipConfig cfg{4, 2};
+    std::vector<RunResult> ref;
+    for (const Program &v : variants)
+        ref.push_back(freshRun(v, cfg));
+    Machine m(isa);
+    for (size_t i = 0; i < variants.size(); ++i) {
+        SCOPED_TRACE(i);
+        uint64_t hits = memoHits();
+        expectSameResult(m.run(variants[i], cfg), ref[i]);
+        // Nothing an earlier variant simulated was served ...
+        EXPECT_EQ(memoHits(), hits);
+        // ... and serving it would have shown: every variant
+        // simulates differently from the base.
+        if (i > 0) {
+            EXPECT_FALSE(ref[i].chip.cycles == ref[0].chip.cycles &&
+                         ref[i].chip.energyNj == ref[0].chip.energyNj &&
+                         ref[i].chip.l1Hits == ref[0].chip.l1Hits);
+        }
+    }
+    // Identical content is served again.
+    uint64_t hits = memoHits();
+    for (size_t i = 0; i < variants.size(); ++i)
+        expectSameResult(m.run(variants[i], cfg), ref[i]);
+    EXPECT_GE(memoHits() - hits, variants.size());
+}
+
+TEST(RunMemo, MutatedOptionsAreNeverServedOldResults)
+{
+    Program p = memLoop(HitLevel::L3);
+    const ChipConfig cfg{2, 2};
+    CoreSimOptions base;
+    base.cacheGeoms = builtinP7Uarch().cacheGeometries();
+    using Mutation = void (*)(CoreSimOptions &);
+    const Mutation mutations[] = {
+        [](CoreSimOptions &o) { o.warmupIters = 5; },
+        [](CoreSimOptions &o) { o.prefetch = false; },
+        [](CoreSimOptions &o) { o.cacheGeoms.back().sizeBytes /= 4; },
+    };
+
+    Machine m(isa);
+    m.simOptions() = base;
+    RunResult before = m.run(p, cfg);
+    for (Mutation mutate : mutations) {
+        CoreSimOptions opts = base;
+        mutate(opts);
+        RunResult ref = freshRun(p, cfg, 0.0, 0, opts);
+        m.simOptions() = base;
+        mutate(m.simOptions());
+        uint64_t hits = memoHits();
+        expectSameResult(m.run(p, cfg), ref);
+        EXPECT_EQ(memoHits(), hits);
+    }
+    // Back at the base options, the first result is served again.
+    m.simOptions() = base;
+    uint64_t hits = memoHits();
+    expectSameResult(m.run(p, cfg), before);
+    EXPECT_GT(memoHits(), hits);
+}
+
+TEST(RunMemo, EightThreadsMatchSerialFreshRuns)
+{
+    struct Job
+    {
+        const Program *prog;
+        ChipConfig cfg;
+        double freq;
+        uint64_t salt;
+    };
+    std::vector<Program> progs = {loopOf("subf", 128, 0),
+                                  memLoop(HitLevel::Mem),
+                                  memLoop(HitLevel::L3)};
+    progs[2].name = "b-l3-loop";
+    std::vector<Job> jobs;
+    for (const Program &p : progs)
+        for (const ChipConfig &cfg : ChipConfig::all())
+            for (double f : {0.0, 2.5})
+                jobs.push_back({&p, cfg, f, jobs.size()});
+    std::vector<RunResult> serial;
+    for (const Job &j : jobs)
+        serial.push_back(freshRun(*j.prog, j.cfg, j.freq, j.salt));
+
+    std::vector<size_t> order(jobs.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::shuffle(order.begin(), order.end(), std::mt19937(7));
+    Machine m(isa);
+    std::vector<RunResult> parallel(jobs.size());
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> workers;
+    for (int t = 0; t < 8; ++t)
+        workers.emplace_back([&] {
+            for (size_t i = next++; i < order.size(); i = next++) {
+                const Job &j = jobs[order[i]];
+                parallel[order[i]] = m.run(
+                    *j.prog, j.cfg, m.operatingPoint(j.freq), j.salt);
+            }
+        });
+    for (std::thread &w : workers)
+        w.join();
+    for (size_t i = 0; i < jobs.size(); ++i) {
+        SCOPED_TRACE(i);
+        expectSameResult(parallel[i], serial[i]);
+    }
+}
+
+TEST(RunMemo, ClearingAtTheCapKeepsResultsExact)
+{
+    // Distinct tiny programs keep the cap's worth of simulations
+    // cheap.
+    auto variant = [](size_t i) {
+        Program p = loopOf("add", 4, 0);
+        p.body[0].toggle = static_cast<float>(i) / 65536.0f;
+        return p;
+    };
+    const ChipConfig cfg{1, 1};
+    const size_t n = Machine::kRunMemoCap + 64;
+
+    Machine m(isa);
+    for (size_t i = 0; i < n; ++i) {
+        RunResult r = m.run(variant(i), cfg);
+        if (i % 256 == 0 || i + 64 >= n) {
+            SCOPED_TRACE(i);
+            expectSameResult(r, freshRun(variant(i), cfg));
+        }
+    }
+    // The clear at the cap dropped the first entries: the first
+    // program simulates again, the last one is still a hit, and
+    // both match a fresh machine.
+    RunResult first = freshRun(variant(0), cfg);
+    RunResult last = freshRun(variant(n - 1), cfg);
+    uint64_t sims = memoSims();
+    expectSameResult(m.run(variant(0), cfg), first);
+    EXPECT_EQ(memoSims() - sims, 1u);
+    expectSameResult(m.run(variant(n - 1), cfg), last);
+    EXPECT_EQ(memoSims() - sims, 1u);
 }
 
 // ---------------------------------------------------------------

@@ -492,6 +492,68 @@ TEST(LintFingerprint, RealMachineVminFieldsAreCovered)
     }
 }
 
+namespace
+{
+
+/**
+ * @p text with @p from renamed to @p to inside one top-level
+ * definition only: from the line that starts with @p fn and its
+ * '(' to the next '}' in column 0.
+ */
+std::string
+renameInFunction(std::string text, const std::string &fn,
+                 const std::string &from, const std::string &to)
+{
+    size_t begin = text.find("\n" + fn + "(");
+    EXPECT_NE(begin, std::string::npos) << fn;
+    size_t end = text.find("\n}\n", begin);
+    std::string def = text.substr(begin, end - begin);
+    for (size_t at; (at = def.find(from)) != std::string::npos;)
+        def.replace(at, from.size(), to);
+    return text.replace(begin, end - begin, def);
+}
+
+} // namespace
+
+TEST(LintFingerprint, RealCoreSimOptionsAreCoveredByBothKeys)
+{
+    // CoreSimOptions feeds two keys: the result-cache keys through
+    // Machine::fingerprint, and Machine::run's memo through
+    // simOptionsDigest. Each is checked on its own.
+    std::string hh = readRepoFile("src/sim/core.hh");
+    std::string cc = readRepoFile("src/sim/machine.cc");
+    auto options_coverage = [&](const std::string &text,
+                                const std::string &fn) {
+        return lintFingerprintCoverage("src/sim/core.hh", hh,
+                                       "CoreSimOptions",
+                                       "src/sim/machine.cc", text, fn);
+    };
+    const std::string fns[] = {"fingerprint", "simOptionsDigest"};
+    const std::string defs[] = {"Machine::fingerprint",
+                                "simOptionsDigest"};
+    for (const std::string &fn : fns)
+        EXPECT_TRUE(options_coverage(cc, fn).empty()) << fn;
+    // Renaming a field away in one function is a finding for that
+    // function's pair alone, and it names the field.
+    for (int k = 0; k < 2; ++k)
+        for (const std::string field :
+             {"memLatency", "cacheGeoms", "warmupIters", "measureIters",
+              "prefetch", "mispredictPenalty", "overlapNjPerCycle",
+              "transitionNjPerInstr", "transitionGateNj"}) {
+            SCOPED_TRACE(fns[k] + ": " + field);
+            std::string stripped =
+                renameInFunction(cc, defs[k], field, "gone");
+            auto findings = options_coverage(stripped, fns[k]);
+            EXPECT_TRUE(std::any_of(
+                findings.begin(), findings.end(),
+                [&](const LintFinding &f) {
+                    return f.rule == "fingerprint-coverage" &&
+                           f.message.find(field) != std::string::npos;
+                }));
+            EXPECT_TRUE(options_coverage(stripped, fns[1 - k]).empty());
+        }
+}
+
 // ----------------------------------------------------------------
 // The real tree must lint clean: this is the same check CI runs
 // via mprobe_lint, kept in-suite so a plain `ctest` catches a

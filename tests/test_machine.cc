@@ -167,6 +167,19 @@ TEST(Machine, MemoryContentionSlowsManyCores)
     EXPECT_LT(r8.coreIpc, 0.85 * r1.coreIpc);
 }
 
+TEST(Machine, ContentionSlowsARaisedMemoryLatencyToo)
+{
+    // Contention scales the machine's configured latency, as the
+    // first pass does. Scaling the 220-cycle default instead made
+    // 8 cores faster than one at a raised latency.
+    Machine m(isa);
+    m.simOptions().memLatency = 440;
+    Program p = memLoop(HitLevel::Mem);
+    RunResult r1 = m.run(p, {1, 1});
+    RunResult r8 = m.run(p, {8, 1});
+    EXPECT_LT(r8.coreIpc, r1.coreIpc);
+}
+
 TEST(Machine, NoContentionReRunForCacheResident)
 {
     Machine m(isa);
