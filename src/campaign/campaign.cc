@@ -36,38 +36,58 @@ campaignJobKey(const Program &prog, const ChipConfig &cfg,
                uint64_t machine_fingerprint, uint64_t salt,
                double freq_ghz, double vdd_volts)
 {
-    Hasher h;
-    h.add(kCacheSchemaVersion);
-    h.add(machine_fingerprint).add(salt);
-    h.add(cfg.cores).add(cfg.smt);
-    // The nominal operating point (freq_ghz == 0) hashes exactly
-    // like a pre-DVFS job, so old cache entries keep hitting.
-    if (freq_ghz > 0.0)
-        h.add(freq_ghz);
-    // An on-curve voltage (vdd_volts == 0) hashes exactly like a
-    // pre-undervolting job. The tag domain-separates the axes:
-    // without it, (freq X, on-curve) and (nominal, vdd X) would
-    // collide.
-    if (vdd_volts > 0.0) {
-        h.add(static_cast<uint64_t>(0x7dd0));
-        h.add(vdd_volts);
+    return campaignJobKeys(prog, {{cfg, freq_ghz, vdd_volts}},
+                           machine_fingerprint, salt)
+        .front();
+}
+
+std::vector<uint64_t>
+campaignJobKeys(const Program &prog,
+                const std::vector<JobKeyPoint> &points,
+                uint64_t machine_fingerprint, uint64_t salt)
+{
+    // A key is one byte sequence: the point's head, then the
+    // program's bytes. Each head is hashed on its own...
+    std::vector<uint64_t> heads;
+    heads.reserve(points.size());
+    for (const JobKeyPoint &pt : points) {
+        Hasher h;
+        h.add(kCacheSchemaVersion);
+        h.add(machine_fingerprint).add(salt);
+        h.add(pt.config.cores).add(pt.config.smt);
+        // The nominal operating point (freqGhz == 0) hashes exactly
+        // like a pre-DVFS job, so old cache entries keep hitting.
+        if (pt.freqGhz > 0.0)
+            h.add(pt.freqGhz);
+        // An on-curve voltage (vdd == 0) hashes exactly like a
+        // pre-undervolting job. The tag domain-separates the axes:
+        // without it, (freq X, on-curve) and (nominal, vdd X)
+        // would collide.
+        if (pt.vdd > 0.0) {
+            h.add(static_cast<uint64_t>(0x7dd0));
+            h.add(pt.vdd);
+        }
+        heads.push_back(h.digest());
     }
-    // The sensor-noise seed hashes the program name, so the name is
-    // result-relevant and must be part of the key.
-    h.add(prog.name);
-    h.add(prog.body.size());
+    // ...and the program's bytes, the same for every point,
+    // continue all heads together. The sensor-noise seed hashes the
+    // program name, so the name is result-relevant and must be part
+    // of the key.
+    LaneHasher lanes(std::move(heads));
+    lanes.add(prog.name);
+    lanes.add(prog.body.size());
     for (const auto &pi : prog.body) {
-        h.add(pi.op).add(pi.depDist).add(pi.stream);
-        h.add(static_cast<double>(pi.toggle));
-        h.add(static_cast<double>(pi.takenRate));
+        lanes.add(pi.op).add(pi.depDist).add(pi.stream);
+        lanes.add(static_cast<double>(pi.toggle));
+        lanes.add(static_cast<double>(pi.takenRate));
     }
-    h.add(prog.streams.size());
+    lanes.add(prog.streams.size());
     for (const auto &st : prog.streams) {
-        h.add(st.lines.size());
+        lanes.add(st.lines.size());
         for (uint64_t line : st.lines)
-            h.add(line);
+            lanes.add(line);
     }
-    return h.digest();
+    return lanes.digests();
 }
 
 uint64_t
@@ -225,6 +245,7 @@ Campaign::Campaign(const Machine &m, CampaignSpec s)
 std::vector<CampaignWorkload>
 Campaign::expandWorkloads(Architecture &arch)
 {
+    obs::TraceSpan span("campaign.generate");
     std::vector<CampaignWorkload> out;
 
     if (spec.suiteEnabled) {
@@ -233,6 +254,7 @@ Campaign::expandWorkloads(Architecture &arch)
             BootstrapOptions bo;
             bo.bodySize = spec.suite.bodySize;
             bo.seed = spec.suite.seed ^ 0xb007ull;
+            bo.threads = spec.suite.threads;
             bootstrapArchitecture(arch, machine, bo);
         }
         inform("campaign: generating suite workloads");
@@ -278,6 +300,7 @@ Campaign::expandWorkloads(Architecture &arch)
     }
     if (out.empty())
         fatal("campaign: spec expanded to no workloads");
+    span.note("workloads", static_cast<double>(out.size()));
     return out;
 }
 
@@ -286,6 +309,7 @@ Campaign::expandJobs(
     const std::vector<CampaignWorkload> &workloads,
     const std::vector<std::vector<ChipConfig>> &configs_per) const
 {
+    obs::TraceSpan span("campaign.expand");
     if (configs_per.size() != workloads.size())
         fatal("campaign: one config list per workload required");
     // The frequency axis, normalized to job form: an empty axis is
@@ -309,11 +333,13 @@ Campaign::expandJobs(
     else
         vdd_axis = spec.vdds;
     std::vector<CampaignJob> jobs;
+    std::vector<JobKeyPoint> points;
     for (size_t w = 0; w < workloads.size(); ++w) {
+        const Program &prog = workloads[w].program;
         if (configs_per[w].empty())
-            fatal(cat("campaign: workload '",
-                      workloads[w].program.name,
+            fatal(cat("campaign: workload '", prog.name,
                       "' has no configurations to deploy on"));
+        points.clear();
         for (const auto &cfg : configs_per[w])
             for (double f : freq_axis)
                 for (double v : vdd_axis) {
@@ -324,17 +350,19 @@ Campaign::expandJobs(
                                 v != machine.voltageAt(f_eff)
                             ? v
                             : 0.0;
-                    jobs.push_back(
-                        {w, cfg,
-                         campaignJobKey(workloads[w].program, cfg,
-                                        machineFp, spec.salt, f,
-                                        v_eff),
-                         costModel.estimate(
-                             cfg,
-                             workloads[w].program.body.size()),
-                         f, v_eff});
+                    points.push_back({cfg, f, v_eff});
                 }
+        // Every key of one workload in one pass over its program.
+        std::vector<uint64_t> keys =
+            campaignJobKeys(prog, points, machineFp, spec.salt);
+        for (size_t k = 0; k < points.size(); ++k)
+            jobs.push_back(
+                {w, points[k].config, keys[k],
+                 costModel.estimate(points[k].config,
+                                    prog.body.size()),
+                 points[k].freqGhz, points[k].vdd});
     }
+    span.note("jobs", static_cast<double>(jobs.size()));
     return jobs;
 }
 
@@ -768,22 +796,11 @@ Campaign::run(Architecture &arch)
     using clock = std::chrono::steady_clock;
     CampaignResult res;
     auto t0 = clock::now();
-    {
-        obs::TraceSpan span("campaign.generate");
-        res.workloads = expandWorkloads(arch);
-        span.note("workloads",
-                  static_cast<double>(res.workloads.size()));
-    }
+    res.workloads = expandWorkloads(arch);
     auto t1 = clock::now();
-    std::vector<CampaignJob> all_jobs;
-    {
-        obs::TraceSpan span("campaign.expand");
-        all_jobs = expandJobs(
-            res.workloads,
-            std::vector<std::vector<ChipConfig>>(
-                res.workloads.size(), spec.configs));
-        span.note("jobs", static_cast<double>(all_jobs.size()));
-    }
+    std::vector<CampaignJob> all_jobs = expandJobs(
+        res.workloads, std::vector<std::vector<ChipConfig>>(
+                           res.workloads.size(), spec.configs));
     res.totalJobs = all_jobs.size();
     // The manifest is persisted before measurement starts — always
     // the *full* job list, so an interrupted or sharded run can

@@ -127,6 +127,28 @@ uint64_t campaignJobKey(const Program &prog, const ChipConfig &cfg,
                         uint64_t salt, double freq_ghz = 0.0,
                         double vdd_volts = 0.0);
 
+/** What a job key covers besides the program: one (config, freq,
+ * vdd) point, with campaignJobKey's meaning of 0. */
+struct JobKeyPoint
+{
+    ChipConfig config;
+    double freqGhz = 0.0;
+    double vdd = 0.0;
+};
+
+/**
+ * campaignJobKey of @p prog at every point of @p points, in point
+ * order, in one pass: each key is an FNV-1a head over its point's
+ * fields continued over the program's bytes, and the program's
+ * bytes are built once and fed to all heads as interleaved lanes
+ * (LaneHasher). campaignJobKey is the one-point case, so the two
+ * always agree.
+ */
+std::vector<uint64_t>
+campaignJobKeys(const Program &prog,
+                const std::vector<JobKeyPoint> &points,
+                uint64_t machine_fingerprint, uint64_t salt);
+
 /**
  * The operating point @p job measures at: the machine's curve point
  * at the job's frequency, with the voltage overridden when the job

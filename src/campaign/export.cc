@@ -140,8 +140,11 @@ exportSamples(const std::string &path,
         exportSamplesJson(f, samples);
     else
         exportSamplesCsv(f, samples);
+    // Close before checking: a full disk often fails only when the
+    // buffer is flushed.
+    f.close();
     if (!f)
-        fatal(cat("error while writing '", path, "'"));
+        fatal(cat("short write to samples file '", path, "'"));
 }
 
 } // namespace mprobe

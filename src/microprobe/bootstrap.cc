@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "campaign/queue.hh"
 #include "microprobe/passes.hh"
 #include "microprobe/synthesizer.hh"
 #include "util/logging.hh"
@@ -19,7 +20,7 @@ namespace
 
 /** Build the probing micro-benchmark for one instruction. */
 Program
-probeBench(Architecture &arch, Isa::OpIndex op, bool chained,
+probeBench(const Architecture &arch, Isa::OpIndex op, bool chained,
            const BootstrapOptions &opts)
 {
     const InstrDef &d = arch.isa().at(op);
@@ -45,11 +46,14 @@ probeBench(Architecture &arch, Isa::OpIndex op, bool chained,
         cat("bootstrap-", d.name, chained ? "-chain" : "-free"));
 }
 
-} // namespace
-
+/**
+ * The measure step: synthesize and run one instruction's probes.
+ * Reads @p arch without changing it, so instructions can be
+ * measured concurrently.
+ */
 BootstrapEntry
-bootstrapInstruction(Architecture &arch, const Machine &machine,
-                     Isa::OpIndex op, const BootstrapOptions &opts)
+measureInstruction(const Architecture &arch, const Machine &machine,
+                   Isa::OpIndex op, const BootstrapOptions &opts)
 {
     const InstrDef &d = arch.isa().at(op);
 
@@ -113,14 +117,30 @@ bootstrapInstruction(Architecture &arch, const Machine &machine,
     double instr_rate = r_free.rate(r_free.chip.instrs);
     e.epiNj =
         instr_rate > 0 ? e.powerWatts / instr_rate * 1e9 : 0.0;
+    return e;
+}
 
-    // Record into the micro-architecture definition.
-    InstrProps &p = arch.uarchMut().propsMut(d.name);
+/** The record step: write @p e into the micro-architecture
+ * definition. */
+void
+recordInstruction(Architecture &arch, const BootstrapEntry &e)
+{
+    InstrProps &p = arch.uarchMut().propsMut(e.mnemonic);
     p.latency = e.latency;
     p.throughput = e.throughput;
     p.epi = e.epiNj;
     p.avgPower = e.powerWatts;
     p.units = e.units;
+}
+
+} // namespace
+
+BootstrapEntry
+bootstrapInstruction(Architecture &arch, const Machine &machine,
+                     Isa::OpIndex op, const BootstrapOptions &opts)
+{
+    BootstrapEntry e = measureInstruction(arch, machine, op, opts);
+    recordInstruction(arch, e);
     return e;
 }
 
@@ -128,15 +148,24 @@ std::vector<BootstrapEntry>
 bootstrapArchitecture(Architecture &arch, const Machine &machine,
                       const BootstrapOptions &opts)
 {
-    std::vector<BootstrapEntry> out;
+    std::vector<Isa::OpIndex> ops;
     for (size_t i = 0; i < arch.isa().size(); ++i) {
         auto op = static_cast<Isa::OpIndex>(i);
-        const InstrDef &d = arch.isa().at(op);
-        if (opts.skipPrivileged && d.privileged)
-            continue;
-        out.push_back(
-            bootstrapInstruction(arch, machine, op, opts));
+        if (!(opts.skipPrivileged && arch.isa().at(op).privileged))
+            ops.push_back(op);
     }
+    // Measure every instruction on the pool (each writes only its
+    // own slot), then record on this thread: no worker ever sees
+    // the definition change under it.
+    std::vector<BootstrapEntry> out(ops.size());
+    parallelFor(
+        resolveThreads(opts.threads, "bootstrap"), ops.size(),
+        [&](size_t i) {
+            out[i] = measureInstruction(arch, machine, ops[i], opts);
+        },
+        "bootstrap");
+    for (const BootstrapEntry &e : out)
+        recordInstruction(arch, e);
     inform(cat("bootstrap: characterized ", out.size(), " of ",
                arch.isa().size(), " instructions"));
     return out;

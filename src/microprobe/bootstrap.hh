@@ -42,6 +42,15 @@ struct BootstrapOptions
     bool skipPrivileged = true;
     /** RNG seed for the probing benchmarks. */
     uint64_t seed = 0xb0075ull;
+    /**
+     * Worker threads for the measurements, with
+     * SuiteOptions::threads semantics. Each instruction's probes
+     * derive their randomness from the seed and the opcode alone
+     * and read the architecture without changing it, so any thread
+     * count produces the bit-identical result; 0 = one worker per
+     * hardware thread, 1 = serial reference.
+     */
+    int threads = 0;
 };
 
 /** Per-instruction bootstrap record (also written into the uarch). */
@@ -61,9 +70,11 @@ struct BootstrapEntry
 
 /**
  * Run the bootstrap over every ISA instruction and fill the
- * architecture's per-instruction properties.
+ * architecture's per-instruction properties. The instructions are
+ * measured on opts.threads workers; the properties are then
+ * written on the caller's thread, in ISA order.
  *
- * @return one entry per characterized instruction.
+ * @return one entry per characterized instruction, in ISA order.
  */
 std::vector<BootstrapEntry>
 bootstrapArchitecture(Architecture &arch, const Machine &machine,
@@ -71,8 +82,8 @@ bootstrapArchitecture(Architecture &arch, const Machine &machine,
                           BootstrapOptions());
 
 /**
- * Characterize a single instruction (used by tests and by targeted
- * re-probing).
+ * Characterize a single instruction and record its properties in
+ * the architecture (used by tests and by targeted re-probing).
  */
 BootstrapEntry bootstrapInstruction(
     Architecture &arch, const Machine &machine, Isa::OpIndex op,

@@ -171,3 +171,34 @@ TEST(Bootstrap, SerializedUarchReloadsProps)
     EXPECT_NEAR(reloaded.props("lxvw4x").throughput,
                 f.arch.uarch().props("lxvw4x").throughput, 1e-9);
 }
+
+TEST(Bootstrap, ThreadCountDoesNotChangeResults)
+{
+    // Fresh architectures and machines per run, so neither run can
+    // read the other's properties or memoized simulations.
+    auto sweep = [](int threads, std::string &uarch_text) {
+        Architecture arch = Architecture::get("POWER7");
+        Machine machine{arch.isa()};
+        BootstrapOptions opts;
+        opts.bodySize = 256;
+        opts.threads = threads;
+        auto entries = bootstrapArchitecture(arch, machine, opts);
+        uarch_text = arch.uarch().toText();
+        return entries;
+    };
+    std::string serial_text, parallel_text;
+    auto serial = sweep(1, serial_text);
+    auto parallel = sweep(8, parallel_text);
+    ASSERT_EQ(serial.size(), parallel.size());
+    for (size_t i = 0; i < serial.size(); ++i) {
+        const BootstrapEntry &a = serial[i], &b = parallel[i];
+        EXPECT_EQ(a.mnemonic, b.mnemonic) << i;
+        EXPECT_EQ(a.latency, b.latency) << a.mnemonic;
+        EXPECT_EQ(a.throughput, b.throughput) << a.mnemonic;
+        EXPECT_EQ(a.epiNj, b.epiNj) << a.mnemonic;
+        EXPECT_EQ(a.powerWatts, b.powerWatts) << a.mnemonic;
+        EXPECT_EQ(a.units, b.units) << a.mnemonic;
+        EXPECT_EQ(a.unitRates, b.unitRates) << a.mnemonic;
+    }
+    EXPECT_EQ(serial_text, parallel_text);
+}

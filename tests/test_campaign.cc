@@ -224,6 +224,76 @@ TEST(CampaignJobKey, DistinguishesContent)
     EXPECT_NE(k0, campaignJobKey(progs[0], {1, 1}, fp, 1));
 }
 
+namespace
+{
+
+/** A hand-built program with two memory streams: no generator
+ * feeds it, so its keys can be pinned as literals. */
+Program
+pinnedKeyProgram()
+{
+    Program p;
+    p.name = "pinned-keys";
+    p.body = {{3, 0, -1, 1.0f, 1.0f},
+              {17, 1, 0, 0.5f, 1.0f},
+              {42, 2, 1, 0.25f, 1.0f},
+              {5, 0, -1, 0.0f, 0.75f}};
+    p.streams.resize(2);
+    p.streams[0].lines = {0x1000, 0x1080, 0x2000};
+    p.streams[1].lines = {0xdeadbe00};
+    return p;
+}
+
+} // namespace
+
+TEST(CampaignJobKey, PinnedValues)
+{
+    // Every cache directory is addressed by these keys. Changing
+    // how a key is computed must leave them alone; changing what
+    // it covers needs a kCacheSchemaVersion bump, which moves them.
+    Program p = pinnedKeyProgram();
+    const uint64_t fp = 0x0123456789abcdefull;
+    const ChipConfig cfg{4, 2};
+    EXPECT_EQ(campaignJobKey(p, cfg, fp, 7), 0x1be9012b74a0c636ull);
+    EXPECT_EQ(campaignJobKey(p, cfg, fp, 7, 2.5),
+              0xa9bd4cc1ce940f52ull);
+    EXPECT_EQ(campaignJobKey(p, cfg, fp, 7, 0.0, 0.9),
+              0x4e62089f2ea62623ull);
+    EXPECT_EQ(campaignJobKey(p, cfg, fp, 7, 2.5, 0.9),
+              0x0a97b8c087ef0de7ull);
+}
+
+TEST(CampaignJobKey, ManyLanesEqualOneKeyAtATime)
+{
+    Fixture f;
+    std::vector<Program> progs = {pinnedKeyProgram(),
+                                  f.programs(1, 256)[0]};
+    // Points in expansion order (config-major, vdd innermost), so
+    // every prefix mixes frequencies and voltages.
+    std::vector<JobKeyPoint> all;
+    for (const ChipConfig &cfg : ChipConfig::all())
+        for (double freq : {0.0, 2.5})
+            for (double vdd : {0.0, 0.9})
+                all.push_back({cfg, freq, vdd});
+    const uint64_t fp = f.machine.fingerprint();
+    for (const Program &prog : progs)
+        for (size_t lanes : {1, 7, 8, 9, 24}) {
+            std::vector<JobKeyPoint> points(all.begin(),
+                                            all.begin() + lanes);
+            std::vector<uint64_t> keys =
+                campaignJobKeys(prog, points, fp, 3);
+            ASSERT_EQ(keys.size(), lanes);
+            for (size_t k = 0; k < lanes; ++k)
+                EXPECT_EQ(keys[k],
+                          campaignJobKey(prog, points[k].config, fp,
+                                         3, points[k].freqGhz,
+                                         points[k].vdd))
+                    << prog.name << ": " << lanes << " lanes, point "
+                    << k;
+        }
+    EXPECT_TRUE(campaignJobKeys(progs[0], {}, fp, 3).empty());
+}
+
 TEST(MachineFingerprint, SensitiveToKnobs)
 {
     Fixture f;
@@ -688,6 +758,22 @@ TEST(Export, FileExtensionSelectsFormat)
     std::getline(fc, first_csv);
     EXPECT_EQ(first_json, "[");
     EXPECT_EQ(first_csv.rfind("workload,", 0), 0u);
+}
+
+TEST(Export, ShortWriteIsFatal)
+{
+    // /dev/full accepts the open and fails the write, which the
+    // stream reports only once its buffer is flushed.
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    Sample s;
+    s.workload = "w";
+    s.config = {1, 1};
+    s.rates = {0, 0, 0, 0, 0, 0, 0};
+    ScopedFatalThrows guard;
+    EXPECT_THROW(exportSamples("/dev/full", {s}), FatalError);
+    EXPECT_THROW(exportSamples("/dev/full", {s}, SampleFormat::Json),
+                 FatalError);
 }
 
 // ---------------------------------------------------------------

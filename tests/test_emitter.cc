@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
 #include "microprobe/emitter.hh"
 #include "microprobe/passes.hh"
 #include "microprobe/synthesizer.hh"
+#include "util/logging.hh"
 
 using namespace mprobe;
 
@@ -98,6 +100,15 @@ TEST(Emitter, SaveWritesFile)
     os << f.rdbuf();
     EXPECT_EQ(os.str(), emitC(p));
     std::remove(path.c_str());
+}
+
+TEST(Emitter, SaveShortWriteIsFatal)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this platform";
+    Program p = sampleProgram();
+    ScopedFatalThrows guard;
+    EXPECT_THROW(saveC(p, "/dev/full"), FatalError);
 }
 
 TEST(Emitter, DependencyMaterializedAsRegisterReuse)

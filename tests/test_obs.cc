@@ -549,3 +549,39 @@ TEST(TracedCampaign, SpansPresentAndExportsByteIdentical)
     obs::traceReset();
     obs::metricsReset();
 }
+
+TEST(TracedCampaign, ExpandEmitsPhaseSpans)
+{
+    // The service ingests campaigns through expand(), not run():
+    // its trace must show the same phase spans, and a bootstrapping
+    // spec one `bootstrap` slice per characterized instruction.
+    Architecture arch = Architecture::get("POWER7");
+    Machine machine{arch.isa()};
+    CampaignSpec spec = tinySpec();
+    spec.bootstrap = true;
+    spec.suite.threads = 2;
+    obs::traceReset();
+    obs::traceEnable();
+    Campaign campaign(machine, spec);
+    CampaignExpansion ex = campaign.expand(arch);
+    obs::traceDisable();
+
+    std::map<std::string, std::vector<std::string>> ends;
+    for (const ParsedEvent &e : parseTrace(traceJson()))
+        if (e.phase == 'E')
+            ends[e.name].push_back(e.args);
+    ASSERT_EQ(ends["campaign.generate"].size(), 1u);
+    ASSERT_EQ(ends["campaign.expand"].size(), 1u);
+    EXPECT_NE(ends["campaign.generate"][0].find(
+                  cat("\"workloads\": ", ex.workloads.size())),
+              std::string::npos)
+        << ends["campaign.generate"][0];
+    EXPECT_NE(ends["campaign.expand"][0].find(
+                  cat("\"jobs\": ", ex.jobs.size())),
+              std::string::npos)
+        << ends["campaign.expand"][0];
+    EXPECT_TRUE(ends["campaign.measure"].empty());
+    EXPECT_EQ(ends["bootstrap"].size(),
+              arch.uarch().bootstrappedCount());
+    obs::traceReset();
+}

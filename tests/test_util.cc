@@ -581,3 +581,37 @@ TEST(AtomicWriteFile, FailedRenameRemovesTemp)
     // The target is untouched.
     EXPECT_TRUE(std::filesystem::is_directory(target));
 }
+
+// ---------------------------------------------------------------
+// Hashing
+
+#include "util/hash.hh"
+
+TEST(LaneHasher, EveryLaneEndsWhereItsHasherWould)
+{
+    // The same adds on a Hasher and on the lanes, including -0.0
+    // (hashes as 0.0), a float, a negative int, a bool and a string
+    // longer than the lanes' chunk.
+    auto feed = [](auto &h) {
+        for (int i = 0; i < 700; ++i)
+            h.add(uint64_t{0x9e3779b97f4a7c15ull} * i);
+        h.add(-0.0).add(1.5f).add(-7).add(true);
+        h.add(std::string(5000, 'x')).add(uint64_t{1});
+    };
+    // Lane counts around the block width of 8: the remainder block
+    // alone, one full block, full blocks plus a remainder.
+    for (size_t n = 0; n <= 25; ++n) {
+        std::vector<uint64_t> starts;
+        std::vector<uint64_t> want;
+        for (size_t i = 0; i < n; ++i) {
+            Hasher h;
+            h.add(static_cast<uint64_t>(i));
+            starts.push_back(h.digest());
+            feed(h);
+            want.push_back(h.digest());
+        }
+        LaneHasher lanes(starts);
+        feed(lanes);
+        EXPECT_EQ(lanes.digests(), want) << n << " lanes";
+    }
+}

@@ -60,6 +60,9 @@ main(int argc, char **argv)
         if (!f)
             fatal(cat("cannot write '", args.get("out"), "'"));
         f << text;
+        f.close();
+        if (!f)
+            fatal(cat("short write to '", args.get("out"), "'"));
         std::cerr << "wrote " << args.get("out") << "\n";
     }
     return 0;
