@@ -260,13 +260,27 @@ obsIsolationRule(const std::string &path, const LintSource &src,
 
 // ----------------------------------------------------------------
 // Rule: hot-path-alloc — arena discipline inside the core
-// simulator's cycle loop.
+// simulator's cycle loop and the cache walk it calls.
 
-/** The hot path in src/sim/core.cc: the entry point and the
- * fixed-SMT-width loop it dispatches to. Every definition of each
+/** One hot-path function and the file that defines it. The name
+ * may be qualified by its class ("CacheLevel::access"). */
+struct HotPathFunction
+{
+    const char *file;
+    const char *name;
+};
+
+/** The hot path: the core simulator's entry point and the
+ * fixed-SMT-width loop it dispatches to, and the cache walk every
+ * memory op of that loop takes. Every definition of each
  * (overloads, explicit specializations) is scanned, and each must
- * have at least one. */
-const char *const kHotPathFunctions[] = {"simulateCoreDecoded", "runCoreLoop"};
+ * have at least one in its file. */
+const HotPathFunction kHotPathFunctions[] = {
+    {"src/sim/core.cc", "simulateCoreDecoded"},
+    {"src/sim/core.cc", "runCoreLoop"},
+    {"src/sim/cache.cc", "CacheLevel::access"},
+    {"src/sim/cache.cc", "CacheHierarchy::access"},
+};
 
 /** Heap-allocating names forbidden in the hot path when called. */
 const char *const kAllocCalls[] = {
@@ -313,16 +327,29 @@ skipTemplateArgs(const std::vector<LintToken> &toks, size_t j)
  * function @p name at or after token @p from: the token index range
  * (begin, end) covering everything between its braces. The name
  * may carry a template argument list (an explicit specialization).
- * Returns false when no definition is found.
+ * A qualified @p name ("Class::fn") matches only a definition
+ * spelled with that qualifier. Returns false when no definition is
+ * found.
  */
 bool
 findFunctionBody(const std::vector<LintToken> &toks,
                  const std::string &name, size_t &begin,
                  size_t &end, size_t from = 0)
 {
+    const size_t sep = name.rfind("::");
+    const std::string qual =
+        sep == std::string::npos ? "" : name.substr(0, sep);
+    const std::string base =
+        sep == std::string::npos ? name : name.substr(sep + 2);
     for (size_t i = from; i + 1 < toks.size(); ++i) {
         if (toks[i].kind != LintToken::Kind::Identifier ||
-            toks[i].text != name)
+            toks[i].text != base)
+            continue;
+        if (!qual.empty() &&
+            (i < 3 || !isPunct(toks, i - 1, ":") ||
+             !isPunct(toks, i - 2, ":") ||
+             toks[i - 3].kind != LintToken::Kind::Identifier ||
+             toks[i - 3].text != qual))
             continue;
         size_t j = skipTemplateArgs(toks, i + 1);
         if (!isPunct(toks, j, "("))
@@ -409,9 +436,10 @@ void
 hotPathRule(const std::string &path, const LintSource &src,
             std::vector<LintFinding> &out)
 {
-    if (path != "src/sim/core.cc")
-        return;
-    for (const char *fn : kHotPathFunctions) {
+    for (const HotPathFunction &hp : kHotPathFunctions) {
+        if (path != hp.file)
+            continue;
+        const std::string fn = hp.name;
         size_t begin = 0, end = 0, defs = 0;
         for (size_t from = 0;
              findFunctionBody(src.tokens, fn, begin, end, from);

@@ -28,8 +28,9 @@
  *  - `hot-path-alloc`: no heap allocation (new/make_unique/malloc/
  *    growing containers) inside any definition of
  *    simulateCoreDecoded or of its cycle loop runCoreLoop in
- *    src/sim/core.cc — the arena discipline; a missing one is a
- *    finding too. Escape hatch:
+ *    src/sim/core.cc, or of the cache walk CacheLevel::access and
+ *    CacheHierarchy::access in src/sim/cache.cc — the arena
+ *    discipline; a missing one is a finding too. Escape hatch:
  *    `// lint: hotpath-alloc-ok(<reason>)`.
  *  - `fingerprint-coverage`: every field of GroundTruthParams must
  *    be referenced by Machine::fingerprint(), and every field of

@@ -39,7 +39,7 @@ CacheLevel::CacheLevel(const CacheGeometry &g) : geom(g)
                   geom.lineBytes));
     lineShift = log2i(static_cast<uint64_t>(geom.lineBytes));
     log2i(numSets); // validate power of two
-    ways.assign(numSets * geom.assoc, Way{0, 0});
+    ways.assign(numSets * geom.assoc, Way{kInvalidTag, 0});
 }
 
 uint64_t
@@ -55,7 +55,7 @@ CacheLevel::probe(uint64_t addr) const
     uint64_t set = line & (numSets - 1);
     size_t base = set * geom.assoc;
     for (int w = 0; w < geom.assoc; ++w)
-        if (ways[base + w].tick != 0 && ways[base + w].tag == line)
+        if (ways[base + w].tag == line && ways[base + w].tick != 0)
             return true;
     return false;
 }
@@ -63,21 +63,41 @@ CacheLevel::probe(uint64_t addr) const
 bool
 CacheLevel::access(uint64_t addr)
 {
-    uint64_t line = addr >> lineShift;
-    uint64_t set = line & (numSets - 1);
-    size_t base = set * geom.assoc;
-    Way *set_ways = ways.data() + base;
+    const uint64_t line = addr >> lineShift;
+    Way *set_ways = ways.data() + (line & (numSets - 1)) * geom.assoc;
     ++tick;
+    if (geom.assoc == 8 && line != kInvalidTag) {
+        // Only a valid way can hold the line, and at most one does:
+        // the match mask has at most one bit set.
+        unsigned hits = 0;
+        for (int w = 0; w < 8; ++w)
+            hits |= static_cast<unsigned>(set_ways[w].tag == line) << w;
+        if (hits != 0) {
+            set_ways[__builtin_ctz(hits)].tick = tick;
+            return true;
+        }
+        // The least recently used way; an invalid way (tick 0) is
+        // older than any valid one, and the first of them wins.
+        int victim = 0;
+        uint64_t oldest = set_ways[0].tick;
+        for (int w = 1; w < 8; ++w) {
+            const bool older = set_ways[w].tick < oldest;
+            oldest = older ? set_ways[w].tick : oldest;
+            victim = older ? w : victim;
+        }
+        set_ways[victim] = Way{line, tick};
+        return false;
+    }
+    // Any other associativity, and line kInvalidTag: one pass that
+    // stops at the hit and tracks the victim on the way.
     int victim = 0;
     uint64_t oldest = ~0ull;
     for (int w = 0; w < geom.assoc; ++w) {
         Way &way = set_ways[w];
-        if (way.tick != 0 && way.tag == line) {
+        if (way.tag == line && way.tick != 0) {
             way.tick = tick;
             return true;
         }
-        // Least recently used way; an invalid way (tick 0) is
-        // older than any valid one, and the first of them wins.
         if (way.tick < oldest) {
             oldest = way.tick;
             victim = w;
@@ -90,12 +110,14 @@ CacheLevel::access(uint64_t addr)
 void
 CacheLevel::reset()
 {
-    // Zeroing the ticks is enough: an invalid way's tag is never
-    // read, and the fill that revalidates the way overwrites it.
-    // Reusing a retained hierarchy this way between batched jobs
-    // is an order of magnitude cheaper than reconstruction.
+    // tick counts the accesses since the last reset, so a level at
+    // tick 0 holds no valid way. Skipping it saves rewriting a 4 MB
+    // level's 512 KB of ways between batched jobs that do not
+    // touch memory.
+    if (tick == 0)
+        return;
     for (Way &way : ways)
-        way.tick = 0;
+        way = Way{kInvalidTag, 0};
     tick = 0;
 }
 
@@ -127,15 +149,16 @@ CacheHierarchy::CacheHierarchy(
 HitLevel
 CacheHierarchy::access(uint64_t addr)
 {
-    HitLevel served = HitLevel::Mem;
     // Inclusive: look up and fill every level top-down; the first
     // hitting level serves the access.
-    for (size_t i = 0; i < levels.size(); ++i) {
-        if (levels[i].access(addr) &&
-            served == HitLevel::Mem) {
-            served = static_cast<HitLevel>(i);
-        }
-    }
+    CacheLevel *lv = levels.data();
+    const bool l1 = lv[0].access(addr);
+    const bool l2 = lv[1].access(addr);
+    const bool l3 = lv[2].access(addr);
+    const HitLevel served = l1   ? HitLevel::L1
+                            : l2 ? HitLevel::L2
+                            : l3 ? HitLevel::L3
+                                 : HitLevel::Mem;
 
     if (prefetchEnabled) {
         // Next-line stream prefetcher: once two consecutive lines
@@ -146,8 +169,9 @@ CacheHierarchy::access(uint64_t addr)
         if (lastLine + 1 == line) {
             uint64_t pf = (line + 1) *
                           static_cast<uint64_t>(lineBytes);
-            for (auto &lvl : levels)
-                lvl.access(pf);
+            lv[0].access(pf);
+            lv[1].access(pf);
+            lv[2].access(pf);
             ++prefetches;
         }
         lastLine = line;

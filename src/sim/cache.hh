@@ -58,7 +58,11 @@ class CacheLevel
      */
     bool access(uint64_t addr);
 
-    /** Invalidate everything (between benchmark deployments). */
+    /**
+     * Invalidate everything (between benchmark deployments). A
+     * level that no access has touched since its last reset is
+     * already invalid and is not rewritten.
+     */
     void reset();
 
     /** Set index for an address (exposed for the Figure-3 bench). */
@@ -67,8 +71,17 @@ class CacheLevel
     const CacheGeometry &geometry() const { return geom; }
 
   private:
-    /** One way: the resident line and its last-use tick, where tick
-     * 0 marks an invalid way (a valid way's tick is at least 1). */
+    /**
+     * The tag of an invalid way. A line number is an address
+     * shifted right by the line size's log2, so no line number
+     * equals it unless lines are 1 byte, where address ~0ull is
+     * line ~0ull. Lookups of that one line check the tick as well.
+     */
+    static constexpr uint64_t kInvalidTag = ~0ull;
+
+    /** One way: the resident line and its last-use tick. An invalid
+     * way has tag kInvalidTag and tick 0; a valid way's tick is at
+     * least 1. */
     struct Way
     {
         uint64_t tag;

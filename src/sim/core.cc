@@ -32,14 +32,20 @@ threadAddr(uint64_t addr, int tid)
            (static_cast<uint64_t>(tid) << 40);
 }
 
-/** Upper bound of every earliest-time scan: "no bound found". */
+/** A time nothing reaches: "no bound found" for every earliest-time
+ * scan, and the free time of the pipe slots that are never free. */
 constexpr double kNever = 1e300;
 
-// Flattened per-unit pipe tokens; offsets/counts mirror
-// ExecModel::pipes (FXU 2, LSU 2, VSU 4, BRU 1, CRU 1).
-constexpr int kPipeOff[kNumUnits] = {0, 2, 4, 8, 9};
-constexpr int kPipeCnt[kNumUnits] = {2, 2, 4, 1, 1};
-constexpr int kNumPipes = 10;
+// Flattened per-unit pipe tokens. Every unit but the VSU has two
+// slots: FXU and LSU have two pipes (ExecModel::pipes), and BRU and
+// CRU have one pipe plus a slot that is never free (kNever), so a
+// one-pipe op picks its pipe and a unit's earliest free time is
+// found without a loop. The VSU has four pipes.
+constexpr int kPipeOff[kNumUnits] = {0, 2, 4, 8, 10};
+constexpr int kPipeCnt[kNumUnits] = {2, 2, 4, 2, 2};
+constexpr int kNumPipes = 12;
+constexpr int kFxu = static_cast<int>(Unit::FXU);
+constexpr int kVsu = static_cast<int>(Unit::VSU);
 
 /** Per-thread state of the decoded simulator (arena-backed). */
 struct DecodedThread
@@ -84,9 +90,9 @@ inline double
 earliestPipe(const double *pipes, int u)
 {
     const double *p = pipes + kPipeOff[u];
-    double t = kNever;
-    for (int w = 0; w < kPipeCnt[u]; ++w)
-        t = std::min(t, p[w]);
+    double t = std::min(p[0], p[1]);
+    if (u == kVsu)
+        t = std::min(t, std::min(p[2], p[3]));
     return t;
 }
 
@@ -118,6 +124,13 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
     double pipes[kNumPipes];
     for (double &nf : pipes)
         nf = -1.0;
+    pipes[kPipeOff[static_cast<int>(Unit::BRU)] + 1] = kNever;
+    pipes[kPipeOff[static_cast<int>(Unit::CRU)] + 1] = kNever;
+    // Each unit's earliest pipe free time, kept current at every
+    // pipe write (docs/MODEL.md, "Scheduler invariants").
+    double earliest[kNumUnits];
+    for (int u = 0; u < kNumUnits; ++u)
+        earliest[u] = earliestPipe(pipes, u);
 
     const int32_t *dep_src = dec.depSrc.data();
     const int32_t *stream_id = dec.stream.data();
@@ -189,26 +202,44 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
                 }
 
                 // Pick an execution unit with enough free pipes
-                // (ascending unit order).
+                // (ascending unit order). A one-pipe op needs one
+                // free pipe, which its unit has exactly when the
+                // unit's earliest free time is due; if neither unit
+                // has one, every pipe of both is busy, and the
+                // earlier earliest time is the wake.
                 const int need = pipes_needed[pc];
                 const int u0 = unit_first[pc];
                 const int u1 = unit_second[pc];
                 int chosen = -1;
-                double busy = kNever;
-                if (scanPipes(pipes, u0, horizon, busy) >= need)
-                    chosen = u0;
-                else if (u1 >= 0 &&
-                         scanPipes(pipes, u1, horizon, busy) >= need)
-                    chosen = u1;
-                if (chosen < 0) {
-                    // Structural stall: the free pipes are too few,
-                    // so a busy pipe must free up first.
-                    t.wake = busy;
-                    break;
+                if (need == 1) {
+                    if (earliest[u0] <= horizon)
+                        chosen = u0;
+                    else if (u1 >= 0 && earliest[u1] <= horizon)
+                        chosen = u1;
+                    if (chosen < 0) {
+                        t.wake = u1 >= 0 ? std::min(earliest[u0],
+                                                    earliest[u1])
+                                         : earliest[u0];
+                        break;
+                    }
+                } else {
+                    double busy = kNever;
+                    if (scanPipes(pipes, u0, horizon, busy) >= need)
+                        chosen = u0;
+                    else if (u1 >= 0 &&
+                             scanPipes(pipes, u1, horizon, busy) >= need)
+                        chosen = u1;
+                    if (chosen < 0) {
+                        // Structural stall: the free pipes are too
+                        // few, so a busy pipe must free up first.
+                        t.wake = busy;
+                        break;
+                    }
                 }
 
                 // Occupy the pipes (token scheme preserves
-                // fractional issue intervals under an integer clock).
+                // fractional issue intervals under an integer clock),
+                // the first free ones in slot order.
                 const uint8_t fl = flags[pc];
                 double ii = issue_interval[pc];
                 if (chosen == static_cast<int>(Unit::LSU) &&
@@ -218,16 +249,22 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
                     ii = 4.0 / 3.0;
                 }
                 double *cp = pipes + kPipeOff[chosen];
-                int occupied = 0;
-                for (int w = 0; w < kPipeCnt[chosen]; ++w) {
-                    if (occupied == need)
-                        break;
-                    if (cp[w] <= horizon) {
-                        cp[w] =
-                            std::max(cp[w], now - 1.0 + kEps) + ii;
-                        ++occupied;
+                if (need == 1 && chosen != kVsu) {
+                    const int w = cp[0] <= horizon ? 0 : 1;
+                    cp[w] = std::max(cp[w], now - 1.0 + kEps) + ii;
+                } else {
+                    int occupied = 0;
+                    for (int w = 0; w < kPipeCnt[chosen]; ++w) {
+                        if (occupied == need)
+                            break;
+                        if (cp[w] <= horizon) {
+                            cp[w] =
+                                std::max(cp[w], now - 1.0 + kEps) + ii;
+                            ++occupied;
+                        }
                     }
                 }
+                earliest[chosen] = earliestPipe(pipes, chosen);
 
                 // Execute.
                 double lat = latency[pc];
@@ -255,6 +292,7 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
                         // Store-queue back-pressure: deep misses
                         // hold the pipe longer.
                         cp[0] += mem_lat * 0.125;
+                        earliest[chosen] = earliestPipe(pipes, chosen);
                     } else {
                         lat = mem_lat;
                     }
@@ -267,27 +305,22 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
                 // VSU). Best effort: they consume bandwidth but do
                 // not gate issue.
                 for (int xo = 0; xo < extra_fxu[pc]; ++xo) {
-                    double *fp =
-                        pipes + kPipeOff[static_cast<int>(Unit::FXU)];
-                    int best = 0;
-                    for (int w = 1;
-                         w < kPipeCnt[static_cast<int>(Unit::FXU)]; ++w)
-                        if (fp[w] < fp[best])
-                            best = w;
+                    double *fp = pipes + kPipeOff[kFxu];
+                    const int best = fp[1] < fp[0] ? 1 : 0;
                     fp[best] =
                         std::max(fp[best], now - 1.0 + kEps) + 1.0;
+                    earliest[kFxu] = std::min(fp[0], fp[1]);
                     live.fxuOps += 1;
                 }
                 if (fl & DecodedProgram::kVsuSteer) {
-                    double *vp =
-                        pipes + kPipeOff[static_cast<int>(Unit::VSU)];
+                    double *vp = pipes + kPipeOff[kVsu];
                     int best = 0;
-                    for (int w = 1;
-                         w < kPipeCnt[static_cast<int>(Unit::VSU)]; ++w)
+                    for (int w = 1; w < kPipeCnt[kVsu]; ++w)
                         if (vp[w] < vp[best])
                             best = w;
                     vp[best] =
                         std::max(vp[best], now - 1.0 + kEps) + 1.0;
+                    earliest[kVsu] = earliestPipe(pipes, kVsu);
                     live.vsuOps += 1;
                 }
 
@@ -380,11 +413,9 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
                 } else {
                     const int u0 = unit_first[t.pc];
                     const int u1 = unit_second[t.pc];
-                    min_blocker =
-                        std::min(min_blocker, earliestPipe(pipes, u0));
+                    min_blocker = std::min(min_blocker, earliest[u0]);
                     if (u1 >= 0)
-                        min_blocker =
-                            std::min(min_blocker, earliestPipe(pipes, u1));
+                        min_blocker = std::min(min_blocker, earliest[u1]);
                 }
             }
             if (min_blocker <= now + 1.0 + kEps)

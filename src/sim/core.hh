@@ -118,8 +118,8 @@ CoreResult simulateCoreHetero(
  * bump arena behind all per-simulation arrays and a retained cache
  * hierarchy that is reset (not reconstructed) between simulations
  * sharing one geometry. One SimScratch must not be used from two
- * threads at once; campaign workers and Machine::run keep one per
- * thread.
+ * threads at once; Machine keeps one per thread, which run() and
+ * every Machine::Batch on that thread share.
  */
 class SimScratch
 {

@@ -289,6 +289,19 @@ mixFreqSeed(uint64_t seed, double freq_ghz, double nominal_ghz)
         seed, static_cast<uint64_t>(std::llround(freq_ghz * 1e6)));
 }
 
+/**
+ * The calling thread's simulator scratch, shared by run() and every
+ * Batch the thread drives. Each simulation resets its arena and
+ * resets, not rebuilds, its cache hierarchy, so a worker thread
+ * builds one hierarchy, not one per Batch.
+ */
+SimScratch &
+threadScratch()
+{
+    thread_local SimScratch scratch;
+    return scratch;
+}
+
 } // namespace
 
 double
@@ -377,7 +390,6 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
     // that keeps steady-state simulation allocation-free, and
     // simulates outside the memo's lock.
     thread_local DecodedProgram decoded;
-    thread_local SimScratch scratch;
     bool have_decode = false;
     const uint64_t prog_digest = programDigest(prog);
     const uint64_t opts_digest = simOptionsDigest(simOpts);
@@ -393,7 +405,7 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
             have_decode = true;
         }
         obs::counter("run_core_sims").add();
-        core = simulateTraced(decoded, cfg.smt, lat_mem, scratch);
+        core = simulateTraced(decoded, cfg.smt, lat_mem);
         runMemo->insert(key, core);
         return core;
     };
@@ -477,9 +489,10 @@ Machine::decodeTraced(const Program &prog, DecodedProgram &out) const
 }
 
 CoreResult
-Machine::simulateTraced(const DecodedProgram &dec, int smt, int lat_mem,
-                        SimScratch &scratch) const
+Machine::simulateTraced(const DecodedProgram &dec, int smt,
+                        int lat_mem) const
 {
+    SimScratch &scratch = threadScratch();
     obs::TraceSpan span("sim.core");
     span.note("smt", smt);
     span.note("lat_mem", lat_mem);
@@ -510,7 +523,7 @@ Machine::Batch::simAt(int smt, int lat_mem)
             return e.core;
         }
     obs::counter("batch_core_sims").add();
-    CoreResult core = m.simulateTraced(decoded, smt, lat_mem, scratch);
+    CoreResult core = m.simulateTraced(decoded, smt, lat_mem);
     memo.push_back({smt, lat_mem, core});
     return memo.back().core;
 }

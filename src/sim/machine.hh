@@ -223,7 +223,10 @@ class Machine
      * counter scaling and the contention latency). Results are
      * bit-identical to per-job Machine::run, which runs the same
      * engine and shares simulations through the machine's memo;
-     * a Batch keeps its own memo, local to its one program. Not
+     * a Batch keeps its own memo, local to its one program. It
+     * simulates on the calling thread's scratch (arena and cache
+     * hierarchy), which run() and the thread's other Batches
+     * share, so a Batch holds no simulator state of its own. Not
      * thread-safe; one Batch per worker thread.
      */
     class Batch
@@ -242,7 +245,6 @@ class Machine
         const Machine &m;
         const Program &prog;
         DecodedProgram decoded;
-        SimScratch scratch;
         struct MemoEntry
         {
             int smt;
@@ -321,10 +323,10 @@ class Machine
     /** Decode @p prog for this machine's options, traced as
      * sim.decode. */
     void decodeTraced(const Program &prog, DecodedProgram &out) const;
-    /** One core simulation at (@p smt, @p lat_mem), traced as
-     * sim.core. */
-    CoreResult simulateTraced(const DecodedProgram &dec, int smt, int lat_mem,
-                              SimScratch &scratch) const;
+    /** One core simulation at (@p smt, @p lat_mem) on the calling
+     * thread's scratch, traced as sim.core. */
+    CoreResult simulateTraced(const DecodedProgram &dec, int smt,
+                              int lat_mem) const;
     /** Shared tail of every run variant: power composition and
      * sensor readout from a finished core simulation. */
     RunResult finishRun(const Program &prog, const ChipConfig &cfg,

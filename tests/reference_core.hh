@@ -7,7 +7,9 @@
  * thread's Program directly, looking up ExecModel and Isa records
  * per dispatched instruction. simulateCoreDecoded must reproduce
  * every CoreResult field of it bit for bit, on homogeneous runs and
- * heterogeneous co-runs alike (test_core_identity).
+ * heterogeneous co-runs alike (test_core_identity). It runs on the
+ * frozen cache hierarchy of reference_cache.hh, so the check covers
+ * the cache model as well as the cycle loop.
  */
 
 #ifndef TESTS_REFERENCE_CORE_HH
@@ -17,6 +19,7 @@
 #include <cmath>
 #include <vector>
 
+#include "reference_cache.hh"
 #include "sim/core.hh"
 #include "util/logging.hh"
 
@@ -76,10 +79,10 @@ simulateCoreHetero(const ExecModel &exec,
 
     const int lat_mem = opts.memLatency;
 
-    CacheHierarchy cache(opts.cacheGeoms.empty()
-                             ? CacheHierarchy::p7Geometry()
-                             : opts.cacheGeoms,
-                         opts.prefetch);
+    reference::CacheHierarchy cache(
+        opts.cacheGeoms.empty() ? mprobe::CacheHierarchy::p7Geometry()
+                                : opts.cacheGeoms,
+        opts.prefetch);
 
     std::vector<ThreadState> ts(static_cast<size_t>(threads));
     for (int i = 0; i < threads; ++i) {

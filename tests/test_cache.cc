@@ -1,10 +1,16 @@
 /**
  * @file
- * Unit tests for the set-associative cache simulator.
+ * Unit tests for the set-associative cache simulator, and
+ * differential tests that drive the same address traces through it
+ * and through the frozen reference hierarchy (reference_cache.hh).
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "reference_cache.hh"
 #include "sim/cache.hh"
 
 using namespace mprobe;
@@ -246,3 +252,187 @@ TEST_P(AliasSweep, SteadyStateLevelByLineCount)
 
 INSTANTIATE_TEST_SUITE_P(LineCounts, AliasSweep,
                          testing::Values(1, 2, 4, 8, 9, 12, 16));
+
+// ----------------------------------------------------------------
+// Differential tests: the cache model against the reference
+// hierarchy, access by access, with resets mid-trace.
+
+namespace
+{
+
+/** A named three-level geometry. */
+struct DiffGeometry
+{
+    const char *name;
+    std::vector<CacheGeometry> levels;
+};
+
+/** P7, a 4-way 64 B-line hierarchy, a direct-mapped one, and an
+ * 8-way 1-byte-line one, where line ~0ull is a real line. */
+std::vector<DiffGeometry>
+diffGeometries()
+{
+    return {
+        {"p7", CacheHierarchy::p7Geometry()},
+        {"4-way-64B", {{2048, 4, 64}, {8192, 4, 64}, {65536, 4, 64}}},
+        {"direct-mapped", {{1024, 1, 64}, {4096, 1, 64}, {16384, 1, 64}}},
+        {"8-way-1B", {{64, 8, 1}, {256, 8, 1}, {1024, 8, 1}}},
+    };
+}
+
+/** splitmix64: a seeded, platform-independent address source. */
+struct TraceRng
+{
+    uint64_t s;
+
+    uint64_t
+    next()
+    {
+        uint64_t z = (s += 0x9e3779b97f4a7c15ull);
+        z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+        z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+        return z ^ (z >> 31);
+    }
+};
+
+/**
+ * Drive @p n accesses through a new model and a reference model of
+ * geometry @p g and count the accesses on which they disagree: the
+ * served level, the prefetch fill count, or a probe of the accessed
+ * address or of a random one on any level. Addresses come from four
+ * working sets (half of each level, and four times the L3), random
+ * 64-bit addresses and the last lines below ~0ull; with @p streams,
+ * the prefetcher is on and runs of consecutive lines start it. Both
+ * models are reset about every @p reset_every accesses, sometimes
+ * twice in a row.
+ */
+int
+diffTrace(const DiffGeometry &g, bool streams, uint64_t seed, int n,
+          int reset_every)
+{
+    CacheHierarchy got(g.levels, streams);
+    reference::CacheHierarchy want(g.levels, streams);
+    const uint64_t line = static_cast<uint64_t>(g.levels[0].lineBytes);
+    uint64_t region[4];
+    for (int i = 0; i < 3; ++i)
+        region[i] = g.levels[static_cast<size_t>(i)].sizeBytes / line / 2;
+    region[3] = g.levels[2].sizeBytes / line * 4;
+    TraceRng rng{seed};
+    auto pick = [&]() -> uint64_t {
+        uint64_t r = rng.next();
+        if (r % 64 == 0)
+            return rng.next();
+        if (r % 64 == 1)
+            return ~0ull - (rng.next() % 4) * line;
+        const int set = static_cast<int>(r % 4);
+        const uint64_t base = static_cast<uint64_t>(set) << 36;
+        return base + (rng.next() % region[set]) * line +
+               rng.next() % line;
+    };
+
+    int bad = 0;
+    auto check = [&](bool ok, const std::string &what, int i) {
+        if (ok)
+            return;
+        if (++bad <= 5)
+            ADD_FAILURE() << g.name << " seed " << seed << " access "
+                          << i << ": " << what;
+    };
+    uint64_t stream = 0;
+    int stream_left = 0;
+    for (int i = 0; i < n; ++i) {
+        if (rng.next() % static_cast<uint64_t>(reset_every) == 0) {
+            got.reset();
+            want.reset();
+            if (rng.next() % 2 == 0) {
+                got.reset();
+                want.reset();
+            }
+        }
+        uint64_t addr;
+        if (streams && stream_left == 0 && rng.next() % 8 == 0) {
+            stream = pick();
+            stream_left = 1 + static_cast<int>(rng.next() % 64);
+        }
+        if (stream_left > 0) {
+            addr = stream;
+            stream += line;
+            --stream_left;
+        } else {
+            addr = pick();
+        }
+        const HitLevel a = got.access(addr);
+        const HitLevel b = want.access(addr);
+        check(a == b,
+              "served " + std::to_string(static_cast<int>(a)) +
+                  ", want " + std::to_string(static_cast<int>(b)),
+              i);
+        check(got.prefetchFills() == want.prefetchFills(),
+              "prefetch fills", i);
+        const uint64_t other = pick();
+        for (int lv = 0; lv < 3; ++lv) {
+            check(got.level(lv).probe(addr) == want.level(lv).probe(addr),
+                  "probe of the accessed line", i);
+            check(got.level(lv).probe(other) ==
+                      want.level(lv).probe(other),
+                  "probe of another line", i);
+        }
+    }
+    return bad;
+}
+
+} // namespace
+
+TEST(CacheDifferential, RandomTracesMatchReference)
+{
+    for (const DiffGeometry &g : diffGeometries())
+        for (uint64_t seed : {1ull, 2ull, 3ull})
+            EXPECT_EQ(diffTrace(g, false, seed, 60000, 15000), 0)
+                << g.name;
+}
+
+TEST(CacheDifferential, SequentialTracesMatchReference)
+{
+    // Streams of consecutive lines start the next-line prefetcher,
+    // whose fills walk all three levels too.
+    for (const DiffGeometry &g : diffGeometries())
+        for (uint64_t seed : {4ull, 5ull, 6ull})
+            EXPECT_EQ(diffTrace(g, true, seed, 60000, 15000), 0)
+                << g.name;
+}
+
+TEST(CacheDifferential, ResetHeavyTracesMatchReference)
+{
+    // Resets every few hundred accesses, some back to back: a
+    // level that no access touched since its last reset skips the
+    // rewrite and must still look freshly invalid.
+    for (const DiffGeometry &g : diffGeometries())
+        EXPECT_EQ(diffTrace(g, true, 7, 20000, 300), 0) << g.name;
+}
+
+TEST(CacheDifferential, TopLineOfOneByteLinesMisses)
+{
+    // With 1-byte lines, address ~0ull is line ~0ull, the tag every
+    // invalid way carries: it must miss until it is filled, on a
+    // new level and after a reset, and probe false until then.
+    const std::vector<CacheGeometry> geoms = diffGeometries()[3].levels;
+    CacheLevel lvl(geoms[0]);
+    EXPECT_FALSE(lvl.probe(~0ull));
+    EXPECT_FALSE(lvl.access(~0ull));
+    EXPECT_TRUE(lvl.probe(~0ull));
+    EXPECT_TRUE(lvl.access(~0ull));
+    lvl.reset();
+    EXPECT_FALSE(lvl.probe(~0ull));
+    EXPECT_FALSE(lvl.access(~0ull));
+
+    CacheHierarchy h(geoms, true);
+    reference::CacheHierarchy ref(geoms, true);
+    for (int round = 0; round < 2; ++round) {
+        EXPECT_EQ(h.access(~0ull), HitLevel::Mem);
+        EXPECT_EQ(ref.access(~0ull), HitLevel::Mem);
+        EXPECT_EQ(h.access(~0ull), HitLevel::L1);
+        EXPECT_EQ(ref.access(~0ull), HitLevel::L1);
+        h.reset();
+        ref.reset();
+    }
+}

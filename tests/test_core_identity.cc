@@ -5,8 +5,10 @@
  * field bit for bit. Covers the CI perf corpus (memory + random
  * programs, 1 K bodies) on every SMT mode at the first-pass memory
  * latency of each swept frequency and at contended latencies, plus
- * heterogeneous SMT co-runs of mixed programs and body sizes, and
- * bodies that drive each of the engine's stall-skip paths.
+ * non-default cache hierarchies, heterogeneous SMT co-runs of mixed
+ * programs and body sizes, and bodies that drive each of the
+ * engine's stall-skip paths. The reference loop runs on the frozen
+ * cache model of reference_cache.hh, so a cache change shows here.
  */
 
 #include <gtest/gtest.h>
@@ -228,8 +230,8 @@ TEST(CoreIdentity, PerfCorpusMatchesReference)
         latencies.push_back(lat);
     }
 
-    // One decode per program and one scratch for the whole sweep,
-    // as a campaign's Machine::Batch reuses them.
+    // One decode per program, as a Machine::Batch holds, and one
+    // scratch for the whole sweep, as a campaign worker reuses it.
     DecodedProgram dec;
     SimScratch scratch;
     int sims = 0, mismatches = 0;
@@ -249,6 +251,38 @@ TEST(CoreIdentity, PerfCorpusMatchesReference)
             }
     }
     EXPECT_EQ(sims, 24 * 3 * 6);
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CoreIdentity, NonDefaultCacheGeometriesMatchReference)
+{
+    // Hierarchies other than the default P7 one take the cache
+    // model's other paths: an 8-way hierarchy small enough that the
+    // corpus's streams evict constantly, a 4-way 64 B-line one, and
+    // a direct-mapped one.
+    Corpus &c = corpus();
+    ExecModel exec(c.arch.isa());
+    const std::vector<std::vector<CacheGeometry>> geometries = {
+        {{8 * 1024, 8, 128}, {64 * 1024, 8, 128}, {512 * 1024, 8, 128}},
+        {{16 * 1024, 4, 64}, {128 * 1024, 4, 64}, {1024 * 1024, 4, 64}},
+        {{16 * 1024, 1, 128}, {128 * 1024, 1, 128}, {1024 * 1024, 1, 128}},
+    };
+    int sims = 0, mismatches = 0;
+    for (size_t gi = 0; gi < geometries.size(); ++gi)
+        for (size_t pi = 0; pi < c.programs.size(); pi += 4) {
+            const Program &p = c.programs[pi];
+            for (int smt : {1, 2, 4}) {
+                SCOPED_TRACE(p.name + " geometry " + std::to_string(gi) +
+                             " smt " + std::to_string(smt));
+                CoreSimOptions o = c.options(c.firstPassLatency(3.0));
+                o.cacheGeoms = geometries[gi];
+                mismatches += countMismatches(
+                    simulateCore(exec, p, smt, o),
+                    reference::simulateCore(exec, p, smt, o));
+                ++sims;
+            }
+        }
+    EXPECT_EQ(sims, 3 * 6 * 3);
     EXPECT_EQ(mismatches, 0);
 }
 

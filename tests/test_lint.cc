@@ -366,6 +366,81 @@ TEST(LintHotPath, MissingFunctionIsAFinding)
     EXPECT_EQ(hotPathFindings("int unrelated;\n").size(), 2u);
 }
 
+namespace
+{
+
+/** Clean definitions of the cache walk's two functions. */
+const char *const kCleanLevelAccess = "bool CacheLevel::access(int a) {\n"
+                                      "    return ways[a & 7].tag == a;\n"
+                                      "}\n";
+const char *const kCleanHierAccess = "int CacheHierarchy::access(int a) {\n"
+                                     "    return lv[0].access(a) ? 0 : 3;\n"
+                                     "}\n";
+
+/** The hot-path-alloc findings of @p text linted as cache.cc. */
+std::vector<LintFinding>
+cacheHotPathFindings(const std::string &text)
+{
+    std::vector<LintFinding> out;
+    for (const LintFinding &f : lintSourceText("src/sim/cache.cc", text))
+        if (f.rule == "hot-path-alloc")
+            out.push_back(f);
+    return out;
+}
+
+} // namespace
+
+TEST(LintHotPath, CleanCacheWalkPasses)
+{
+    // The constructor and reset() may allocate; call sites of
+    // access() are not definitions.
+    EXPECT_TRUE(cacheHotPathFindings(
+                    std::string("CacheLevel::CacheLevel(int n) {\n"
+                                "    ways.resize(n);\n"
+                                "}\n") +
+                    kCleanLevelAccess + kCleanHierAccess +
+                    "void warm(CacheLevel &c) { c.access(0); }\n")
+                    .empty());
+}
+
+TEST(LintHotPath, FlagsHeapInTheCacheWalk)
+{
+    auto f = cacheHotPathFindings(std::string(kCleanHierAccess) +
+                                  "bool CacheLevel::access(int a) {\n"
+                                  "    history.push_back(a);\n"
+                                  "    return false;\n"
+                                  "}\n");
+    ASSERT_EQ(f.size(), 1u);
+    EXPECT_EQ(f[0].line, 5);
+    f = cacheHotPathFindings(std::string(kCleanLevelAccess) +
+                             "int CacheHierarchy::access(int a) {\n"
+                             "    auto *pf = new int(a + 1);\n"
+                             "    return 3;\n"
+                             "}\n");
+    ASSERT_EQ(f.size(), 1u);
+    EXPECT_EQ(f[0].line, 5);
+    // The cache walk is scanned only where it lives.
+    EXPECT_TRUE(hotPathFindings(std::string(kCleanEntry) + kCleanLoop +
+                                "bool CacheLevel::access(int a) {\n"
+                                "    history.push_back(a);\n"
+                                "    return false;\n"
+                                "}\n")
+                    .empty());
+}
+
+TEST(LintHotPath, MissingCacheWalkIsAFinding)
+{
+    // The qualifier must match: CacheHierarchy::access does not
+    // stand in for CacheLevel::access, nor a free access().
+    EXPECT_EQ(cacheHotPathFindings(kCleanHierAccess).size(), 1u);
+    EXPECT_EQ(cacheHotPathFindings(kCleanLevelAccess).size(), 1u);
+    EXPECT_EQ(cacheHotPathFindings("bool access(int a) {\n"
+                                   "    return false;\n"
+                                   "}\n")
+                  .size(),
+              2u);
+}
+
 // ----------------------------------------------------------------
 // Rule: fingerprint-coverage.
 
