@@ -58,23 +58,17 @@ envCacheDir()
 }
 
 /**
- * Shard selector benches honour (MPROBE_SHARD=i/n, needs
- * MPROBE_CACHE_DIR): a sharded bench run measures only its slice
- * of the corpus into the shared cache — its printed figures are
- * partial — and the final unsharded run regenerates the figure
- * from all cache hits. Slices are cost-weighted (LPT striping over
- * estimated job cost, see campaign/cost.hh), so a mixed-config
- * corpus splits into shards of near-equal wall time, not just
- * equal job counts.
+ * Fleet mode (MPROBE_SERVE=1, needs MPROBE_CACHE_DIR): the bench
+ * drains its measurements through the claim pool of the shared
+ * cache directory, so every process running the same bench against
+ * that directory (on any host) takes a share of the jobs, and each
+ * prints the complete figure once the pool is drained.
  */
-inline void
-envShard(int &index, int &count)
+inline bool
+envServe()
 {
-    index = 0;
-    count = 1;
-    const char *s = std::getenv("MPROBE_SHARD");
-    if (s != nullptr && s[0] != '\0')
-        parseShard(s, "MPROBE_SHARD", index, count);
+    const char *v = std::getenv("MPROBE_SERVE");
+    return v != nullptr && v[0] == '1';
 }
 
 /** Pipeline options at paper scale (or reduced in fast mode). */
@@ -85,10 +79,10 @@ paperPipelineOptions()
     // All measurement flows through the campaign engine: auto
     // worker count, result cache from MPROBE_CACHE_DIR so
     // re-generating a figure reuses every already-measured point,
-    // optional shard slice from MPROBE_SHARD.
+    // optional fleet mode from MPROBE_SERVE.
     po.threads = 0;
     po.cacheDir = envCacheDir();
-    envShard(po.shardIndex, po.shardCount);
+    po.serve = envServe();
     if (fastMode()) {
         po.suite.bodySize = 1024;
         po.suite.perMemoryGroup = 2;
@@ -118,14 +112,14 @@ paperPipelineOptions()
 /**
  * Measurement-only campaign spec for the benches: auto worker
  * count, result cache from MPROBE_CACHE_DIR (so re-generating a
- * figure reuses every already-measured point), shard slice from
- * MPROBE_SHARD, no suite generation.
+ * figure reuses every already-measured point), fleet mode from
+ * MPROBE_SERVE, no suite generation.
  */
 inline CampaignSpec
 benchCampaignSpec()
 {
     CampaignSpec spec = measurementSpec(0, envCacheDir());
-    envShard(spec.shardIndex, spec.shardCount);
+    spec.serve = envServe();
     // Fast-mode benches measure a different (smaller) corpus than
     // full-size ones; tag the manifest so the two never accumulate
     // into one in a shared cache directory.

@@ -166,31 +166,32 @@ ResultCache::contains(uint64_t key) const
     return fs::exists(pathOf(key), ec);
 }
 
-bool
-ResultCache::lookup(uint64_t key, Sample &out)
+namespace
 {
-    if (!enabled()) {
-        ++nMisses;
-        return false;
-    }
-    if (peek(key, out)) {
-        ++nHits;
-        return true;
-    }
-    // An entry that exists but failed to parse deserves a warning
-    // (a plainly absent one does not).
-    std::error_code ec;
-    if (fs::exists(pathOf(key), ec)) {
-        ++nCorrupt;
-        warn(cat("result cache: corrupt entry ", pathOf(key),
-                 " ignored"));
-    }
-    ++nMisses;
-    return false;
+
+/** How @p s differs from @p want, or "" when it is that job. */
+std::string
+identityMismatch(const Sample &s, const SampleIdentity &want)
+{
+    if (s.workload != want.workload)
+        return cat("workload '", s.workload, "', not '",
+                   want.workload, "'");
+    if (s.config.cores != want.config.cores ||
+        s.config.smt != want.config.smt)
+        return cat("config ", s.config.label(), ", not ",
+                   want.config.label());
+    if (s.freqGhz != want.freqGhz)
+        return cat("freq ", s.freqGhz, " GHz, not ", want.freqGhz);
+    if (s.vddVolts != want.vdd)
+        return cat("vdd ", s.vddVolts, " V, not ", want.vdd);
+    return "";
 }
 
+} // namespace
+
 bool
-ResultCache::peek(uint64_t key, Sample &out) const
+ResultCache::read(uint64_t key, const SampleIdentity *expect,
+                  Sample &out) const
 {
     if (!enabled())
         return false;
@@ -200,10 +201,50 @@ ResultCache::peek(uint64_t key, Sample &out) const
     std::ostringstream os;
     os << f.rdbuf();
     Sample s;
-    if (!sampleFromText(os.str(), s))
-        return false;
-    out = std::move(s);
-    return true;
+    std::string why = "unparseable";
+    if (sampleFromText(os.str(), s)) {
+        why = expect ? identityMismatch(s, *expect) : "";
+        if (why.empty()) {
+            out = std::move(s);
+            return true;
+        }
+    }
+    // The entry exists but cannot stand for this job: the caller
+    // re-measures it, and the store overwrites the file.
+    ++nCorrupt;
+    warn(cat("result cache: entry ", pathOf(key), " ignored (", why,
+             ")"));
+    return false;
+}
+
+bool
+ResultCache::lookup(uint64_t key, const SampleIdentity &expect,
+                    Sample &out)
+{
+    bool hit = read(key, &expect, out);
+    ++(hit ? nHits : nMisses);
+    return hit;
+}
+
+bool
+ResultCache::lookup(uint64_t key, Sample &out)
+{
+    bool hit = read(key, nullptr, out);
+    ++(hit ? nHits : nMisses);
+    return hit;
+}
+
+bool
+ResultCache::peek(uint64_t key, const SampleIdentity &expect,
+                  Sample &out) const
+{
+    return read(key, &expect, out);
+}
+
+bool
+ResultCache::peek(uint64_t key, Sample &out) const
+{
+    return read(key, nullptr, out);
 }
 
 bool

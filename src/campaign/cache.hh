@@ -47,6 +47,20 @@ std::string sampleToText(const Sample &s);
  */
 bool sampleFromText(const std::string &text, Sample &out);
 
+/**
+ * What a cache entry must say it is: the job's workload (program
+ * name), configuration, and resolved operating point. The job key
+ * covers all four, so an entry whose parsed fields differ is another
+ * job's sample, e.g. a file copied over this key's.
+ */
+struct SampleIdentity
+{
+    std::string workload;
+    ChipConfig config;
+    double freqGhz = 0.0;
+    double vdd = 0.0;
+};
+
 /** Thread-safe directory-backed sample cache. */
 class ResultCache
 {
@@ -60,8 +74,26 @@ class ResultCache
     bool enabled() const { return !dir.empty(); }
 
     /**
-     * Look up @p key; fills @p out and returns true on a hit.
-     * Counts toward hits()/misses().
+     * Look up @p key; fills @p out and returns true on a hit: an
+     * entry that parses and whose workload, config, frequency and
+     * voltage equal @p expect. An entry that exists but fails
+     * either test counts in corrupt(), warns and misses, so the
+     * caller re-measures the job. Counts toward hits()/misses().
+     *
+     * A legacy entry without `freq`/`vdd` lines parses with the
+     * defaults sampleFromText fills (the nominal clock and the
+     * default V/f curve), and those are what it is compared on: on
+     * a default-curve machine they equal a nominal job's point, so
+     * such entries keep hitting.
+     */
+    bool lookup(uint64_t key, const SampleIdentity &expect,
+                Sample &out);
+
+    /**
+     * Key-only lookup: like the above, but the entry's identity is
+     * not checked. Only for callers that hold no job description
+     * (perfbench's replay); every engine path passes the job's
+     * identity.
      */
     bool lookup(uint64_t key, Sample &out);
 
@@ -74,11 +106,15 @@ class ResultCache
     bool contains(uint64_t key) const;
 
     /**
-     * Read the entry for @p key without touching hits()/misses().
-     * Sharded measure() uses this to fill off-shard slots from
-     * whatever other shards already measured, without distorting
-     * this run's cache statistics.
+     * Read the entry for @p key without touching hits()/misses():
+     * how --merge, serve collection and the service's final export
+     * gather results other workers measured. A rejected entry
+     * counts in corrupt() and warns, as in lookup().
      */
+    bool peek(uint64_t key, const SampleIdentity &expect,
+              Sample &out) const;
+
+    /** Key-only peek (see the key-only lookup). */
     bool peek(uint64_t key, Sample &out) const;
 
     /**
@@ -93,8 +129,8 @@ class ResultCache
     /**@{*/
     size_t hits() const { return nHits.load(); }
     size_t misses() const { return nMisses.load(); }
-    /** Entries that existed on disk but failed to parse (each also
-     * counted as a miss). */
+    /** Entries that existed on disk but failed to parse or were
+     * not the job they were read for (each also a miss). */
     size_t corrupt() const { return nCorrupt.load(); }
     /**@}*/
 
@@ -105,7 +141,11 @@ class ResultCache
     std::string dir;
     std::atomic<size_t> nHits{0};
     std::atomic<size_t> nMisses{0};
-    std::atomic<size_t> nCorrupt{0};
+    mutable std::atomic<size_t> nCorrupt{0};
+
+    /** peek() with an optional identity check. */
+    bool read(uint64_t key, const SampleIdentity *expect,
+              Sample &out) const;
 };
 
 } // namespace mprobe

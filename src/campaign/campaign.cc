@@ -136,19 +136,6 @@ campaignFingerprint(const CampaignSpec &spec,
     return h.digest();
 }
 
-std::vector<size_t>
-shardIndices(size_t n, int index, int count)
-{
-    std::vector<size_t> out;
-    if (count < 1 || index < 0 || index >= count)
-        fatal(cat("campaign: bad shard ", index, "/", count));
-    out.reserve(n / static_cast<size_t>(count) + 1);
-    for (size_t i = static_cast<size_t>(index); i < n;
-         i += static_cast<size_t>(count))
-        out.push_back(i);
-    return out;
-}
-
 OperatingPoint
 jobPoint(const Machine &machine, const CampaignJob &job)
 {
@@ -158,19 +145,16 @@ jobPoint(const Machine &machine, const CampaignJob &job)
     return op;
 }
 
+SampleIdentity
+jobIdentity(const Machine &machine, const CampaignJob &job,
+            const std::string &workload)
+{
+    OperatingPoint op = jobPoint(machine, job);
+    return {workload, job.config, op.freqGhz, op.voltage};
+}
+
 namespace
 {
-
-/** The estimated costs of @p jobs, in job order. */
-std::vector<double>
-jobCosts(const std::vector<CampaignJob> &jobs)
-{
-    std::vector<double> costs;
-    costs.reserve(jobs.size());
-    for (const auto &job : jobs)
-        costs.push_back(job.cost);
-    return costs;
-}
 
 /** The jobs at @p indices, in index order. */
 std::vector<CampaignJob>
@@ -201,9 +185,11 @@ std::vector<size_t>
 costAwareShardIndices(const std::vector<CampaignJob> &jobs,
                       int index, int count)
 {
-    if (count < 1 || index < 0 || index >= count)
-        fatal(cat("campaign: bad shard ", index, "/", count));
-    return costStripedShard(jobCosts(jobs), index, count);
+    std::vector<double> costs;
+    costs.reserve(jobs.size());
+    for (const auto &job : jobs)
+        costs.push_back(job.cost);
+    return costStripedShard(costs, index, count);
 }
 
 Campaign::Campaign(const Machine &m, CampaignSpec s)
@@ -499,16 +485,16 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
             const auto jt0 = clock::now();
             {
                 obs::TraceSpan jspan("campaign.job");
+                const Program &prog = workloads[job.workload].program;
+                auto id = jobIdentity(machine, job, prog.name);
                 Sample s;
-                if (cache.lookup(job.key, s)) {
+                if (cache.lookup(job.key, id, s)) {
                     obs::counter("cache_hits").add();
                     out.samples[i] = std::move(s);
                     out.cached[i] = 1;
                     ++cached;
                 } else {
                     obs::counter("cache_misses").add();
-                    const Program &prog =
-                        workloads[job.workload].program;
                     // The measurement salt derives from the job's
                     // content hash, never from scheduling, so
                     // repeated sensor noise matches the serial
@@ -666,8 +652,10 @@ Campaign::runClaimed(
             const auto jt0 = clock::now();
             {
                 obs::TraceSpan jspan("campaign.job");
+                const Program &prog = workloads[job.workload].program;
+                auto id = jobIdentity(machine, job, prog.name);
                 Sample s;
-                if (cache.lookup(job.key, s)) {
+                if (cache.lookup(job.key, id, s)) {
                     // Rare but possible: a peer cached the job
                     // between our queue scan and the claim
                     // acquisition.
@@ -676,8 +664,6 @@ Campaign::runClaimed(
                     out.cached[i] = 1;
                 } else {
                     obs::counter("cache_misses").add();
-                    const Program &prog =
-                        workloads[job.workload].program;
                     uint64_t salt = hashCombine(job.key, 0x5a17ull);
                     out.samples[i] = makeSample(
                         prog.name,
@@ -736,15 +722,16 @@ Campaign::runClaimed(
     for (size_t i = 0; i < jobs.size(); ++i) {
         if (!out.samples[i].rates.empty())
             continue;
-        if (cache.peek(jobs[i].key, out.samples[i])) {
+        const CampaignJob &job = jobs[i];
+        const Program &prog = workloads[job.workload].program;
+        auto id = jobIdentity(machine, job, prog.name);
+        if (cache.peek(job.key, id, out.samples[i])) {
             out.cached[i] = 1;
             continue;
         }
-        // A cached result that vanished or went corrupt between
-        // drain and collection; re-measure it locally rather than
-        // exporting a hole.
-        const CampaignJob &job = jobs[i];
-        const Program &prog = workloads[job.workload].program;
+        // A cached result that vanished, went corrupt or is not
+        // this job's between drain and collection; re-measure it
+        // locally rather than exporting a hole.
         uint64_t salt = hashCombine(job.key, 0x5a17ull);
         out.samples[i] = makeSample(
             prog.name,
@@ -755,8 +742,8 @@ Campaign::runClaimed(
     }
     if (holes > 0)
         warn(cat("campaign: serve: ", holes,
-                 " cached results vanished before collection and "
-                 "were re-measured"));
+                 " cached results vanished or were rejected before "
+                 "collection and were re-measured"));
     inform(cat("campaign: serve: pool drained; this worker ran ",
                ran.load(), " of ", jobs.size(), " jobs (",
                claimdir.stolen(), " stolen from expired claims, ",
@@ -849,46 +836,6 @@ Campaign::run(Architecture &arch)
     return res;
 }
 
-CampaignPlan
-Campaign::plan(Architecture &arch, int shard_count)
-{
-    if (shard_count == 0)
-        shard_count = spec.shardCount;
-    if (shard_count < 1)
-        fatal(cat("campaign: bad plan shard count ", shard_count));
-
-    CampaignPlan out;
-    out.workloads = expandWorkloads(arch);
-    out.jobList = expandJobs(
-        out.workloads,
-        std::vector<std::vector<ChipConfig>>(out.workloads.size(),
-                                             spec.configs));
-    out.totalJobs = out.jobList.size();
-
-    std::vector<double> costs = jobCosts(out.jobList);
-    for (double c : costs)
-        out.totalCost += c;
-
-    std::vector<std::vector<size_t>> striped =
-        costStripedPartition(costs, shard_count);
-    std::vector<std::vector<size_t>> rr;
-    rr.reserve(static_cast<size_t>(shard_count));
-    for (int s = 0; s < shard_count; ++s)
-        rr.push_back(
-            shardIndices(out.totalJobs, s, shard_count));
-    out.stripedImbalance = costImbalance(costs, striped);
-    out.roundRobinImbalance = costImbalance(costs, rr);
-    for (int s = 0; s < shard_count; ++s) {
-        out.shards.push_back(
-            {striped[static_cast<size_t>(s)],
-             summedCost(costs, striped[static_cast<size_t>(s)])});
-        out.roundRobin.push_back(
-            {rr[static_cast<size_t>(s)],
-             summedCost(costs, rr[static_cast<size_t>(s)])});
-    }
-    return out;
-}
-
 namespace
 {
 
@@ -924,58 +871,23 @@ Campaign::measure(
     const std::vector<Program> &programs,
     const std::vector<std::vector<ChipConfig>> &configs_per)
 {
+    // A shard slice is not the corpus the caller asked for, and no
+    // sample of it may stand in for a measurement.
+    if (spec.sharded())
+        fatal("campaign: measure() returns every sample and cannot "
+              "run a shard slice; use serve (MPROBE_SERVE=1) to "
+              "spread a bench or pipeline over a fleet");
     auto workloads = adhocWorkloads(programs);
     auto jobs = expandJobs(workloads, configs_per);
     // measure() campaigns are manifest-covered too: benches and
     // the model pipeline accumulate their job lists next to the
-    // shared cache, which is what makes --resume and --merge (and
-    // therefore sharding) work for them.
+    // shared cache, which is what makes --resume and --merge work
+    // for them.
     writeManifest(workloads, jobs);
-    if (!spec.sharded())
-        return runJobs(workloads, jobs, jobs.size()).samples;
-
-    // Sharded measure(): run this shard's slice, then fill
-    // off-shard slots from the shared cache. Slots no other shard
-    // has measured yet stay placeholders (correct workload/config,
-    // zeroed measurements): a sharded bench run warms the cache,
-    // the final unsharded all-hit run computes the figures.
-    std::vector<size_t> mine = costAwareShardIndices(
-        jobs, spec.shardIndex, spec.shardCount);
-    std::vector<Sample> measured =
-        runJobs(workloads, jobsAt(jobs, mine), jobs.size())
-            .samples;
-
-    std::vector<Sample> out(jobs.size());
-    std::vector<char> filled(jobs.size(), 0);
-    for (size_t k = 0; k < mine.size(); ++k) {
-        out[mine[k]] = std::move(measured[k]);
-        filled[mine[k]] = 1;
-    }
-    size_t holes = 0;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-        if (filled[i])
-            continue;
-        if (cache.peek(jobs[i].key, out[i]))
-            continue;
-        Sample &s = out[i];
-        s.workload = workloads[jobs[i].workload].program.name;
-        s.config = jobs[i].config;
-        s.freqGhz = jobs[i].freqGhz > 0.0 ? jobs[i].freqGhz
-                                          : machine.clockGhz();
-        s.vddVolts = jobs[i].vdd > 0.0
-                         ? jobs[i].vdd
-                         : machine.voltageAt(s.freqGhz);
-        s.rates.assign(dynamicFeatureNames().size(), 0.0);
-        ++holes;
-    }
-    if (holes > 0)
-        warn(cat("campaign: shard ", spec.shardIndex, "/",
-                 spec.shardCount, ": ", holes, " of ",
-                 jobs.size(), " jobs not yet in the shared "
-                 "cache; their samples are zero placeholders — "
-                 "run the remaining shards, then re-run unsharded "
-                 "(all cache hits) before consuming results"));
-    return out;
+    JobRunOutcome outcome = spec.serve
+                                ? runClaimed(workloads, jobs)
+                                : runJobs(workloads, jobs, jobs.size());
+    return std::move(outcome.samples);
 }
 
 CampaignSpec

@@ -159,6 +159,17 @@ campaignJobKeys(const Program &prog,
 OperatingPoint jobPoint(const Machine &machine, const CampaignJob &job);
 
 /**
+ * What @p job's cache entry must say it is (ResultCache::lookup):
+ * @p workload (the job's program name), the job's configuration
+ * and its jobPoint. Every reader of the cache checks entries
+ * against it, so a file copied over another job's key is
+ * re-measured instead of exported.
+ */
+SampleIdentity jobIdentity(const Machine &machine,
+                           const CampaignJob &job,
+                           const std::string &workload);
+
+/**
  * Fingerprint of everything in (@p spec, machine) that determines a
  * campaign's job keys: workload sources and generation knobs,
  * configurations, salt and the machine fingerprint — but not
@@ -170,61 +181,19 @@ uint64_t campaignFingerprint(const CampaignSpec &spec,
                              uint64_t machine_fingerprint);
 
 /**
- * Count-balanced round-robin shard partition: the indices i in
- * [0, n) with i % count == index. Superseded by cost-aware striping
- * (costAwareShardIndices) for the engine's own shard selection —
- * round-robin balances job counts, not job costs — but kept as the
- * deterministic baseline the cost-striped schedule is measured
- * against (tests, the --plan dry run and the shard-balance CI
- * smoke report both).
- */
-std::vector<size_t> shardIndices(size_t n, int index, int count);
-
-/**
  * The engine's shard partition: deterministic cost-weighted
  * striping (LPT greedy over job.cost, see campaign/cost.hh) of the
- * expanded job list. Like the round-robin partition it is a pure
- * function of the (ordered) job list — never of scheduling or
- * cache state — so every shard of one campaign computes the
- * identical partition on its own, the union over all shards is
- * exactly the unsharded job list, and --merge exports stay
- * byte-identical to an unsharded run. Unlike round-robin, the
+ * expanded job list. It is a pure function of the (ordered) job
+ * list — never of scheduling or cache state — so every shard of
+ * one campaign computes the identical partition on its own, the
+ * union over all shards is exactly the unsharded job list, and
+ * --merge exports stay byte-identical to an unsharded run. The
  * summed estimated cost per shard is near-balanced even when the
  * config mix is skewed (an 8-4 job costs ~32x a 1-1 job).
  */
 std::vector<size_t>
 costAwareShardIndices(const std::vector<CampaignJob> &jobs,
                       int index, int count);
-
-/** Per-shard slice of a campaign plan (--plan dry run). */
-struct CampaignShardPlan
-{
-    /** Expansion indices of this shard's jobs, ascending. */
-    std::vector<size_t> jobs;
-    /** Summed estimated cost of those jobs. */
-    double cost = 0.0;
-};
-
-/** What Campaign::plan computes: the cost-striped schedule of a
- * campaign, next to the round-robin baseline it replaces. */
-struct CampaignPlan
-{
-    /** Full expanded job count. */
-    size_t totalJobs = 0;
-    /** Summed estimated cost of every job. */
-    double totalCost = 0.0;
-    /** Cost-striped shard slices (what the engine executes). */
-    std::vector<CampaignShardPlan> shards;
-    /** Round-robin slices of the same jobs (comparison baseline). */
-    std::vector<CampaignShardPlan> roundRobin;
-    /** max/min summed shard cost, both schemes (1 = perfect). */
-    double stripedImbalance = 1.0;
-    double roundRobinImbalance = 1.0;
-    /** The generated corpus behind the jobs (label lookups). */
-    std::vector<CampaignWorkload> workloads;
-    /** The expanded jobs the indices refer to. */
-    std::vector<CampaignJob> jobList;
-};
 
 /** A campaign expanded but not yet measured: what the service's
  * ingest step produces and its shared pool consumes. */
@@ -272,17 +241,6 @@ class Campaign
     CampaignExpansion expand(Architecture &arch);
 
     /**
-     * Dry run (--plan): generate the spec's workloads and expand
-     * its jobs exactly like run(), but partition instead of
-     * measuring — no manifest write, no cache traffic, no samples.
-     * @p shard_count overrides the spec's shard count (0 keeps it);
-     * an unsharded plan is one shard holding every job. Generation
-     * still runs (job costs need the generated body sizes), so a
-     * plan of an expensive spec costs its generation phase.
-     */
-    CampaignPlan plan(Architecture &arch, int shard_count = 0);
-
-    /**
      * Lower-level entry: measure an explicit workload list across
      * @p configs with the engine's pool and cache, in deterministic
      * (workload-major) order. Figure/table benches and the model
@@ -302,13 +260,13 @@ class Campaign
      *
      * Both overloads persist (merge-accumulate) their expanded job
      * list into the cache directory's manifest, so --resume and
-     * --merge cover bench/pipeline measurements too. Under a shard
-     * spec only the shard's slice is measured; off-shard slots are
-     * filled from the shared cache when another shard already
-     * measured them, and otherwise left as placeholder samples
-     * (correct workload/config, zeroed measurements) with a
-     * warning — a sharded bench run warms the cache, the final
-     * unsharded (all-hit) run computes the figures.
+     * --merge cover bench/pipeline measurements too, and always
+     * return every sample measured. A sharded spec is refused
+     * (fatal): a slice is not the corpus the caller asked for.
+     * Under `spec.serve` the jobs drain through the claim pool of
+     * the shared cache directory, exactly as run() does, so every
+     * process measuring the same corpus into one cache splits the
+     * work and each returns the complete sample vector.
      */
     std::vector<Sample>
     measure(const std::vector<Program> &programs,

@@ -6,7 +6,6 @@
 #include "campaign/cost.hh"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "util/logging.hh"
@@ -62,16 +61,6 @@ costStripedShard(const std::vector<double> &costs, int index,
                                 count)[static_cast<size_t>(index)];
 }
 
-double
-summedCost(const std::vector<double> &costs,
-           const std::vector<size_t> &indices)
-{
-    double total = 0.0;
-    for (size_t i : indices)
-        total += costs[i];
-    return total;
-}
-
 CostCalibration
 calibrateJobCostModel(const std::vector<JobTiming> &timings)
 {
@@ -121,26 +110,6 @@ calibrateJobCostModel(const std::vector<JobTiming> &timings)
     // make small jobs "free"; clamp to the meaningful range.
     out.fitted.perJob = std::max(0.0, intercept / slope);
     return out;
-}
-
-double
-costImbalance(const std::vector<double> &costs,
-              const std::vector<std::vector<size_t>> &shards)
-{
-    if (shards.empty())
-        return 1.0;
-    double lo = std::numeric_limits<double>::infinity();
-    double hi = 0.0;
-    for (const auto &s : shards) {
-        double c = summedCost(costs, s);
-        lo = std::min(lo, c);
-        hi = std::max(hi, c);
-    }
-    if (hi == 0.0)
-        return 1.0;
-    if (lo == 0.0)
-        return std::numeric_limits<double>::infinity();
-    return hi / lo;
 }
 
 } // namespace mprobe

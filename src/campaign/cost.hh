@@ -2,12 +2,11 @@
  * @file
  * Per-job cost estimation and cost-weighted shard scheduling.
  *
- * Round-robin sharding by expansion index balances job *counts*,
- * but campaign jobs are far from uniform: simulating a workload on
- * an 8-core SMT-4 configuration walks 32 hardware-thread contexts
- * over the loop body, while the 1-1 configuration walks one. A
- * mixed-config campaign round-robined across shards can leave one
- * shard with several times the wall time of another.
+ * Campaign jobs are far from uniform: simulating a workload on an
+ * 8-core SMT-4 configuration walks 32 hardware-thread contexts over
+ * the loop body, while the 1-1 configuration walks one. Splitting a
+ * mixed-config campaign by job *count* can leave one shard with
+ * several times the wall time of another.
  *
  * The JobCostModel estimates the relative cost of one (workload,
  * configuration) job from what the simulator actually scales with —
@@ -73,20 +72,6 @@ costStripedPartition(const std::vector<double> &costs, int count);
 std::vector<size_t>
 costStripedShard(const std::vector<double> &costs, int index,
                  int count);
-
-/** Total cost of the jobs at @p indices. */
-double summedCost(const std::vector<double> &costs,
-                  const std::vector<size_t> &indices);
-
-/**
- * Imbalance of a partition: max over min summed shard cost (>= 1;
- * 1 is perfect balance). An empty shard yields +inf unless every
- * shard is empty (ratio 1). The shard-balance CI smoke and the
- * --plan dry run report this number for the cost-striped schedule
- * next to the round-robin baseline.
- */
-double costImbalance(const std::vector<double> &costs,
-                     const std::vector<std::vector<size_t>> &shards);
 
 /** One measured job wall time, as recorded in the campaign's
  * --metrics-json (cache hits are excluded from calibration: they

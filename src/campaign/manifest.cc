@@ -11,6 +11,7 @@
 #include <set>
 #include <sstream>
 
+#include "campaign/campaign.hh"
 #include "util/fileio.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
@@ -228,13 +229,19 @@ remainingJobs(const CampaignManifest &m, const ResultCache &cache)
 
 ManifestCollection
 collectManifestSamples(const CampaignManifest &m,
-                       const ResultCache &cache)
+                       const ResultCache &cache,
+                       const Machine &machine)
 {
     ManifestCollection out;
     out.samples.reserve(m.entries.size());
     for (const auto &e : m.entries) {
+        CampaignJob job;
+        job.config = e.config;
+        job.freqGhz = e.freqGhz;
+        job.vdd = e.vdd;
+        auto id = jobIdentity(machine, job, e.workload);
         Sample s;
-        if (cache.peek(e.key, s))
+        if (cache.peek(e.key, id, s))
             out.samples.push_back(std::move(s));
         else
             out.missing.push_back(e);

@@ -112,7 +112,8 @@ struct ManifestCollection
 {
     /** One sample per covered entry, in manifest order. */
     std::vector<Sample> samples;
-    /** Entries whose cache files are missing or corrupt. */
+    /** Entries whose cache files are missing, corrupt or another
+     * job's. */
     std::vector<ManifestEntry> missing;
 };
 
@@ -122,11 +123,15 @@ struct ManifestCollection
  * back empty, samples is the complete campaign: exporting it is
  * bit-identical to the export of an unsharded run, because the
  * manifest preserves job order and cached samples round-trip
- * exactly. Does not touch @p cache statistics.
+ * exactly. Each entry is checked against its job's identity, with
+ * the operating point resolved on @p machine (the campaign's), so
+ * an entry that is another job's sample counts as missing. Does
+ * not touch @p cache's hit/miss statistics.
  */
 ManifestCollection
 collectManifestSamples(const CampaignManifest &m,
-                       const ResultCache &cache);
+                       const ResultCache &cache,
+                       const Machine &machine);
 
 /**
  * Entries of @p m whose results are not yet in @p cache — the jobs

@@ -102,8 +102,10 @@ struct CampaignSpec
      * The union over all shards is exactly the unsharded campaign;
      * the manifest always lists the full job list, so any shard's
      * cache directory can answer --resume and --merge for the
-     * whole campaign. Execution detail: never part of job keys or
-     * the campaign fingerprint.
+     * whole campaign. Only run() takes a slice: measure() refuses
+     * a sharded spec, since its callers need every sample.
+     * Execution detail: never part of job keys or the campaign
+     * fingerprint.
      */
     int shardIndex = 0;  // lint: fingerprint-exempt(slice selection only)
     int shardCount = 1;  // lint: fingerprint-exempt(slice selection only)
@@ -119,8 +121,10 @@ struct CampaignSpec
      * (cost order), jobs of a dead worker are stolen once their
      * claim outlives claimTtlSeconds, and every worker finishes
      * with the complete sample set (all results are in the shared
-     * cache when the pool drains). Mutually exclusive with
-     * sharding; --merge semantics are unchanged.
+     * cache when the pool drains). Campaign::measure() honours it
+     * too, which is how benches and the model pipeline run on a
+     * fleet. Mutually exclusive with sharding; --merge semantics
+     * are unchanged.
      */
     bool serve = false; // lint: fingerprint-exempt(execution mode, same job set)
     /** Stale-claim TTL in seconds ("claim_ttl_seconds",

@@ -77,7 +77,7 @@ analyzeSweep(const std::vector<Sample> &samples)
     std::map<std::pair<std::string, std::string>, size_t> index;
     for (const auto &s : samples) {
         if (s.instrGips <= 0.0)
-            continue; // placeholder (e.g. off-shard slot)
+            continue; // no instruction rate: its 0 EPI would win
         if (!s.reliable)
             continue; // below Vmin: must not win an optimum
         auto key = std::make_pair(s.workload, s.config.label());

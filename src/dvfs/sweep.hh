@@ -32,8 +32,8 @@ namespace mprobe
  * rate); EDP multiplies EPI by the time per instruction (P/R^2) and
  * ED^2P by its square (P/R^3) — the standard family of
  * energy-efficiency objectives, increasingly biased toward
- * performance. All three are 0 for placeholder samples (no
- * instruction rate), never infinite.
+ * performance. All three are 0 for a sample with no instruction
+ * rate (e.g. a hand-built or idle sample), never infinite.
  */
 /**@{*/
 double sampleEpiJoules(const Sample &s);
@@ -115,9 +115,9 @@ struct CrossFreqReport
 
 /**
  * fatal() when @p samples holds no points at @p train_freq, or when
- * the live (non-placeholder, reliable) samples span fewer than two
- * distinct frequencies — validating a model against its own
- * training frequency alone would report a spurious 0-gap.
+ * the live (positive instruction rate, reliable) samples span fewer
+ * than two distinct frequencies — validating a model against its
+ * own training frequency alone would report a spurious 0-gap.
  */
 CrossFreqReport
 crossFrequencyError(const std::vector<Sample> &samples,

@@ -30,7 +30,7 @@ findUndervoltMargin(const std::vector<Sample> &samples)
     std::vector<Extremes> ext;
     for (const auto &s : samples) {
         if (s.instrGips <= 0.0)
-            continue; // placeholder (e.g. off-shard slot)
+            continue; // ran no work: it must not probe a voltage
         auto key = std::make_tuple(s.workload, s.config.label(),
                                    s.freqGhz);
         auto it = index.find(key);

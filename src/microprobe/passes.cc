@@ -63,6 +63,12 @@ InstructionMixPass::InstructionMixPass(
     if (!wts.empty() && wts.size() != cands.size())
         fatal(cat("InstructionMixPass: ", wts.size(),
                   " weights for ", cands.size(), " candidates"));
+    // apply() binary-searches the running sums, which only a
+    // non-negative, finite weight vector keeps sorted.
+    for (double w : wts)
+        if (!std::isfinite(w) || w < 0.0)
+            fatal(cat("InstructionMixPass: bad weight ", w,
+                      " (want finite and >= 0)"));
 }
 
 std::string
@@ -77,24 +83,27 @@ InstructionMixPass::apply(Program &prog, const Architecture &,
 {
     if (prog.body.empty())
         fatal("InstructionMixPass: run SkeletonPass first");
+    // Running sums, added left to right exactly as a linear scan
+    // accumulates them, so the binary search below picks what that
+    // scan would: the first candidate whose running sum exceeds r.
+    std::vector<double> upto(cands.size());
     double total = 0.0;
-    for (size_t i = 0; i < cands.size(); ++i)
+    for (size_t i = 0; i < cands.size(); ++i) {
         total += wts.empty() ? 1.0 : wts[i];
+        upto[i] = total;
+    }
     if (total <= 0.0)
         fatal("InstructionMixPass: weights sum to zero");
 
     // All slots except the closing branch.
     for (size_t s = 0; s + 1 < prog.body.size(); ++s) {
         double r = rng.uniform() * total;
-        size_t pick = 0;
-        double acc = 0.0;
-        for (size_t i = 0; i < cands.size(); ++i) {
-            acc += wts.empty() ? 1.0 : wts[i];
-            if (r < acc) {
-                pick = i;
-                break;
-            }
-        }
+        auto it = std::upper_bound(upto.begin(), upto.end(), r);
+        // r can round up to the total itself: candidate 0, as the
+        // scan's fall-through always chose.
+        size_t pick = it == upto.end()
+                          ? 0
+                          : static_cast<size_t>(it - upto.begin());
         prog.body[s].op = cands[pick];
     }
 }

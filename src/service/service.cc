@@ -241,13 +241,14 @@ CampaignService::updateStatus()
             std::vector<Sample> samples(c.jobs.size());
             for (size_t j = 0; j < c.jobs.size(); ++j) {
                 const CampaignJob &job = c.jobs[j];
-                if (cache.peek(job.key, samples[j]))
-                    continue;
-                warn(cat("service: campaign '", c.name, "': job ",
-                         j, " vanished from the cache; "
-                         "re-measuring"));
                 const Program &prog =
                     c.workloads[job.workload].program;
+                auto id = jobIdentity(c.machine, job, prog.name);
+                if (cache.peek(job.key, id, samples[j]))
+                    continue;
+                warn(cat("service: campaign '", c.name, "': job ",
+                         j, " vanished from the cache or was "
+                         "rejected; re-measuring"));
                 uint64_t salt = hashCombine(job.key, 0x5a17ull);
                 samples[j] = makeSample(
                     prog.name, c.machine.run(prog, job.config,
@@ -276,8 +277,14 @@ CampaignService::updateStatus()
             std::vector<Sample> partial;
             partial.reserve(c.doneCount);
             for (size_t j = 0; j < c.jobs.size(); ++j) {
+                if (!c.done[j])
+                    continue;
+                const CampaignJob &job = c.jobs[j];
+                const Program &prog =
+                    c.workloads[job.workload].program;
+                auto id = jobIdentity(c.machine, job, prog.name);
                 Sample s;
-                if (c.done[j] && cache.peek(c.jobs[j].key, s))
+                if (cache.peek(job.key, id, s))
                     partial.push_back(std::move(s));
             }
             std::ostringstream csv, json;
@@ -317,15 +324,15 @@ CampaignService::drainLoop()
         const CampaignJob &job = c.jobs[ref.job];
         {
             obs::TraceSpan jspan("service.job");
+            const Program &prog = c.workloads[job.workload].program;
+            auto id = jobIdentity(c.machine, job, prog.name);
             Sample s;
-            if (cache.lookup(job.key, s)) {
+            if (cache.lookup(job.key, id, s)) {
                 obs::counter("cache_hits").add();
                 jspan.note("cached", 1);
             } else {
                 obs::counter("cache_misses").add();
                 jspan.note("cached", 0);
-                const Program &prog =
-                    c.workloads[job.workload].program;
                 uint64_t salt = hashCombine(job.key, 0x5a17ull);
                 s = makeSample(
                     prog.name, c.machine.run(prog, job.config,

@@ -106,8 +106,7 @@ runModelPipeline(Architecture &arch, const Machine &machine,
     CampaignSpec cspec =
         measurementSpec(opts.threads, opts.cacheDir, opts.salt);
     cspec.configs = opts.configs;
-    cspec.shardIndex = opts.shardIndex;
-    cspec.shardCount = opts.shardCount;
+    cspec.serve = opts.serve;
     // Tag the manifest with the knobs that shaped this corpus, so
     // two pipelines with different corpora (fast vs. full mode)
     // sharing one cache directory get separate manifests instead

@@ -57,15 +57,12 @@ struct PipelineOptions
     /** Extra salt mixed into each job's measurement seed. */
     uint64_t salt = 0;
     /**
-     * Shard selection (see CampaignSpec): with shardCount > 1 the
-     * pipeline measures only its slice of the corpus into the
-     * shared cache; off-shard samples come from the cache or stay
-     * zero placeholders, so a sharded run warms the cache and the
-     * final unsharded run trains the models from all cache hits.
-     * Needs cacheDir.
+     * Fleet mode (CampaignSpec::serve): measure through the claim
+     * pool of the shared cacheDir, so every pipeline run against
+     * that directory takes a share of the corpus and each trains
+     * the models from the complete sample set. Needs cacheDir.
      */
-    int shardIndex = 0;
-    int shardCount = 1;
+    bool serve = false;
     /**@}*/
 };
 

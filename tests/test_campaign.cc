@@ -15,6 +15,7 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "campaign/campaign.hh"
 #include "campaign/export.hh"
@@ -22,6 +23,7 @@
 #include "campaign/queue.hh"
 #include "microprobe/passes.hh"
 #include "microprobe/synthesizer.hh"
+#include "obs/telemetry.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
 #include "workloads/pipeline.hh"
@@ -89,6 +91,52 @@ samplesEqual(const Sample &a, const Sample &b)
            a.instrGips == b.instrGips && a.coreIpc == b.coreIpc &&
            a.freqGhz == b.freqGhz && a.vddVolts == b.vddVolts &&
            a.reliable == b.reliable;
+}
+
+/**
+ * End to end: strip the lines starting with @p strip off a real
+ * cache entry (as a writer that predates them left it) and
+ * re-measure. The entry must stay a hit, and the identity check
+ * must accept it.
+ */
+void
+expectLegacyEntryHits(const std::vector<std::string> &strip)
+{
+    Fixture f;
+    auto progs = f.programs(1);
+    std::vector<ChipConfig> cfgs = {{1, 1}};
+    CampaignSpec spec = tinySpec();
+    spec.cacheDir = freshCacheDir("legacy");
+
+    Campaign c(f.machine, spec);
+    auto s1 = c.measure(progs, cfgs);
+
+    uint64_t key = campaignJobKey(progs[0], cfgs[0],
+                                  f.machine.fingerprint(), 0);
+    ResultCache cache(spec.cacheDir);
+    std::string text;
+    {
+        std::ifstream in(cache.pathOf(key));
+        std::ostringstream os;
+        os << in.rdbuf();
+        text = os.str();
+    }
+    for (const auto &k : strip) {
+        auto at = text.find(k);
+        ASSERT_NE(at, std::string::npos) << k;
+        text = text.substr(0, at) +
+               text.substr(text.find('\n', at) + 1);
+    }
+    {
+        std::ofstream out(cache.pathOf(key));
+        out << text;
+    }
+    Campaign c2(f.machine, spec);
+    auto s2 = c2.measure(progs, cfgs);
+    EXPECT_EQ(c2.cacheHits(), 1u);
+    EXPECT_EQ(c2.cacheMisses(), 0u);
+    EXPECT_EQ(c2.cacheCorrupt(), 0u);
+    EXPECT_TRUE(samplesEqual(s1[0], s2[0]));
 }
 
 } // namespace
@@ -903,22 +951,6 @@ TEST(CampaignSpecDeath, BadShardFatal)
                 testing::ExitedWithCode(1), "out of range");
 }
 
-TEST(CampaignShard, IndicesPartitionStably)
-{
-    for (int count : {1, 2, 3, 5}) {
-        std::vector<char> seen(17, 0);
-        for (int index = 0; index < count; ++index)
-            for (size_t i : shardIndices(17, index, count)) {
-                EXPECT_EQ(i % static_cast<size_t>(count),
-                          static_cast<size_t>(index));
-                EXPECT_EQ(seen[i], 0) << "overlap at " << i;
-                seen[i] = 1;
-            }
-        for (size_t i = 0; i < seen.size(); ++i)
-            EXPECT_EQ(seen[i], 1) << "hole at " << i;
-    }
-}
-
 // ---------------------------------------------------------------
 // Sharded execution: union == unsharded, merge bit-identity
 
@@ -972,7 +1004,7 @@ TEST(CampaignShard, UnionEqualsUnshardedAndMergeIsBitIdentical)
         ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
         ASSERT_EQ(m.entries.size(), r.jobs.size());
         ResultCache cache(spec.cacheDir);
-        ManifestCollection col = collectManifestSamples(m, cache);
+        ManifestCollection col = collectManifestSamples(m, cache, f.machine);
         EXPECT_TRUE(col.missing.empty());
         std::ostringstream merged_csv;
         exportSamplesCsv(merged_csv, col.samples);
@@ -994,7 +1026,7 @@ TEST(CampaignShard, IncompleteMergeReportsMissing)
     CampaignManifest m;
     ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
     ResultCache cache(spec.cacheDir);
-    ManifestCollection col = collectManifestSamples(m, cache);
+    ManifestCollection col = collectManifestSamples(m, cache, f.machine);
     // Exactly the other shard's jobs are missing.
     EXPECT_EQ(col.missing.size(),
               sr.totalJobs - sr.jobs.size());
@@ -1050,72 +1082,68 @@ TEST(CampaignMeasure, WritesAndAccumulatesManifest)
         EXPECT_EQ(m2.entries[i].key, m.entries[i].key) << i;
 }
 
-TEST(CampaignMeasure, ShardedMeasureFillsOffShardFromCache)
+TEST(CampaignMeasureDeath, ShardedSpecRefused)
 {
+    // measure() callers consume every sample; a shard slice would
+    // hand them samples nobody measured.
     Fixture f;
-    auto progs = f.programs(3);
-    std::vector<ChipConfig> cfgs = {{1, 1}, {2, 1}};
-
-    // Unsharded reference (no cache: pure measurement).
-    Campaign ref(f.machine, tinySpec());
-    auto want = ref.measure(progs, cfgs);
-
+    auto progs = f.programs(2);
     CampaignSpec spec = tinySpec();
     spec.cacheDir = freshCacheDir("measure-shard");
     spec.shardCount = 2;
+    EXPECT_EXIT(
+        {
+            Campaign c(f.machine, spec);
+            c.measure(progs, {ChipConfig{1, 1}, ChipConfig{2, 1}});
+        },
+        testing::ExitedWithCode(1), "cannot run a shard slice");
+}
 
-    // Which slots shard 0 owns is the cost-striped partition — a
-    // pure function of the expanded job list, reproducible here
-    // with the same default cost model the engine uses.
-    JobCostModel model;
-    std::vector<double> costs;
-    for (const auto &p : progs)
-        for (const auto &cfg : cfgs)
-            costs.push_back(model.estimate(cfg, p.body.size()));
-    std::set<size_t> mine;
-    for (size_t i : costStripedShard(costs, 0, 2))
-        mine.insert(i);
-    EXPECT_FALSE(mine.empty());
-    EXPECT_LT(mine.size(), costs.size());
+TEST(CampaignMeasure, ConcurrentServeCallsReturnTheFullCorpus)
+{
+    // Two measure() calls under serve share one cache directory,
+    // as two bench processes of one fleet would: each drains the
+    // common claim pool and returns every sample, byte-identical
+    // to a serial unsharded call.
+    Fixture f;
+    auto progs = f.programs(4);
+    std::vector<ChipConfig> cfgs = {{1, 1}, {2, 1}, {8, 4}, {1, 2}};
 
-    // Shard 0 on a cold cache: its slice matches the reference,
-    // off-shard slots are placeholders (nothing measured them yet)
-    // with the right workload/config.
-    spec.shardIndex = 0;
-    Campaign c0(f.machine, spec);
-    auto got0 = c0.measure(progs, cfgs);
-    ASSERT_EQ(got0.size(), want.size());
-    for (size_t i = 0; i < got0.size(); ++i) {
-        EXPECT_EQ(got0[i].workload, want[i].workload) << i;
-        EXPECT_EQ(got0[i].config.cores, want[i].config.cores) << i;
-        if (mine.count(i))
-            EXPECT_TRUE(samplesEqual(got0[i], want[i])) << i;
-        else
-            EXPECT_EQ(got0[i].powerWatts, 0.0) << i;
+    CampaignSpec serial = tinySpec();
+    serial.threads = 1;
+    Campaign ref(f.machine, serial);
+    std::vector<Sample> want = ref.measure(progs, cfgs);
+    ASSERT_EQ(want.size(), progs.size() * cfgs.size());
+
+    const std::string dir = freshCacheDir("measure-serve");
+    std::vector<Sample> got[2];
+    size_t misses[2] = {0, 0};
+    auto worker = [&](int w) {
+        CampaignSpec spec = tinySpec();
+        spec.cacheDir = dir;
+        spec.serve = true;
+        spec.workerId = cat("measure-worker-", w);
+        spec.claimPollSeconds = 0.01;
+        Campaign c(f.machine, spec);
+        got[w] = c.measure(progs, cfgs);
+        misses[w] = c.cacheMisses();
+    };
+    std::thread a(worker, 0), b(worker, 1);
+    a.join();
+    b.join();
+
+    for (int w = 0; w < 2; ++w) {
+        ASSERT_EQ(got[w].size(), want.size()) << w;
+        for (size_t i = 0; i < want.size(); ++i)
+            EXPECT_EQ(sampleToText(got[w][i]), sampleToText(want[i]))
+                << "worker " << w << ", sample " << i;
     }
-
-    // Shard 1 completes the cache; an unsharded all-hit pass now
-    // reproduces the reference everywhere.
-    spec.shardIndex = 1;
-    Campaign c1(f.machine, spec);
-    c1.measure(progs, cfgs);
-
-    CampaignSpec full = tinySpec();
-    full.cacheDir = spec.cacheDir;
-    Campaign cf(f.machine, full);
-    auto got = cf.measure(progs, cfgs);
-    EXPECT_EQ(cf.cacheMisses(), 0u);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t i = 0; i < got.size(); ++i)
-        EXPECT_TRUE(samplesEqual(got[i], want[i])) << i;
-
-    // ...and shard 0 re-run against the warm cache returns the
-    // reference everywhere too (off-shard slots fill from cache).
-    spec.shardIndex = 0;
-    Campaign c0b(f.machine, spec);
-    auto got0b = c0b.measure(progs, cfgs);
-    for (size_t i = 0; i < got0b.size(); ++i)
-        EXPECT_TRUE(samplesEqual(got0b[i], want[i])) << i;
+    // Both drained the claim pool (each serve worker publishes its
+    // telemetry there), and between them they measured each job
+    // once: a claim holder re-checks the cache, so a job a peer
+    // finished meanwhile is a hit.
+    EXPECT_EQ(obs::readFleetTelemetry(dir).size(), 2u);
+    EXPECT_EQ(misses[0] + misses[1], want.size());
 }
 
 // ---------------------------------------------------------------
@@ -1201,59 +1229,41 @@ TEST(CostStripe, PartitionsDisjointlyAndDeterministically)
     }
 }
 
-TEST(CostStripe, BalancesSkewedCostsBetterThanRoundRobin)
+TEST(CostStripe, BalancesSkewedCosts)
 {
-    // The adversarial round-robin case: every sixth job is heavy
-    // (an 8-4 config, ~32x a 1-1 job) — index-residue striping
-    // piles every heavy job onto one shard for both 2 and 3 shards
-    // (6 is divisible by both).
+    // Every sixth job is heavy (an 8-4 config, ~32x a 1-1 job):
+    // striping by index residue would pile every heavy job onto one
+    // shard for both 2 and 3 shards (6 is divisible by both).
     JobCostModel m;
     std::vector<double> costs;
     for (int i = 0; i < 24; ++i)
         costs.push_back(i % 6 == 0 ? m.estimate({8, 4}, 4096)
                                    : m.estimate({1, 1}, 4096));
     for (int count : {2, 3}) {
-        auto striped = costStripedPartition(costs, count);
-        std::vector<std::vector<size_t>> rr;
-        for (int s = 0; s < count; ++s)
-            rr.push_back(shardIndices(costs.size(), s, count));
-        double striped_ratio = costImbalance(costs, striped);
-        double rr_ratio = costImbalance(costs, rr);
-        EXPECT_LT(striped_ratio, rr_ratio) << count;
+        double lo = 1e300, hi = 0.0;
+        for (const auto &shard : costStripedPartition(costs, count)) {
+            double c = 0.0;
+            for (size_t i : shard)
+                c += costs[i];
+            lo = std::min(lo, c);
+            hi = std::max(hi, c);
+        }
         // LPT is essentially perfect at 2 shards (heavies split
         // evenly); at 3 shards the 4th heavy job forces ~1.5, the
-        // optimum for this instance — while round-robin piles all
-        // four onto one shard (ratio > 10).
-        EXPECT_LT(striped_ratio, count == 2 ? 1.1 : 2.0) << count;
-        EXPECT_GT(rr_ratio, 10.0) << count;
+        // optimum for this instance.
+        EXPECT_LT(hi / lo, count == 2 ? 1.1 : 2.0) << count;
     }
-}
-
-TEST(CostStripe, ImbalanceEdgeCases)
-{
-    EXPECT_EQ(costImbalance({}, {}), 1.0);
-    // Fewer jobs than shards: an empty shard is infinitely
-    // imbalanced (the planner must surface that, not hide it).
-    std::vector<double> one = {5.0};
-    auto shards = costStripedPartition(one, 3);
-    EXPECT_TRUE(std::isinf(costImbalance(one, shards)));
-    // All-empty shards (no jobs at all) are "balanced".
-    std::vector<double> none;
-    EXPECT_EQ(costImbalance(none, costStripedPartition(none, 2)),
-              1.0);
 }
 
 TEST(CampaignShard, SkewedConfigUnionAndMergeBitIdentical)
 {
-    // The satellite acceptance case: deliberately skewed configs
-    // (8-4 jobs cost ~32x the 1-1 jobs) still union to exactly the
-    // unsharded campaign, and the merged export is byte-identical
-    // to the serial unsharded reference.
+    // Deliberately skewed configs (8-4 jobs cost ~32x the 1-1
+    // jobs) still union to exactly the unsharded campaign, and the
+    // merged export is byte-identical to the serial unsharded
+    // reference.
     Fixture f;
     // Six configs with the heavy 8-4 first: in the workload-major
-    // job list the heavy jobs land at indices = 0 mod 6, the
-    // residue class round-robin striping dumps onto a single shard
-    // at both 2 and 3 shards.
+    // job list the heavy jobs land at indices = 0 mod 6.
     auto skewed = [&]() {
         CampaignSpec spec = tinySpec();
         spec.configs = {{8, 4}, {1, 1}, {1, 2},
@@ -1297,23 +1307,17 @@ TEST(CampaignShard, SkewedConfigUnionAndMergeBitIdentical)
         for (const auto &job : r.jobs)
             EXPECT_EQ(seen.count(job.key), 1u);
 
-        // Cost balance: the striped shards must beat round-robin
-        // on this skew, by construction of the config order.
-        std::vector<double> costs;
-        for (const auto &job : r.jobs)
-            costs.push_back(job.cost);
-        std::vector<std::vector<size_t>> rr;
-        for (int s = 0; s < count; ++s)
-            rr.push_back(shardIndices(costs.size(), s, count));
-        EXPECT_LT(max_cost / min_cost, costImbalance(costs, rr))
-            << count;
+        // Cost balance: the heavy jobs spread over the shards and
+        // the light ones even out the rest (an index-residue split
+        // would give one shard every 8-4 job).
+        EXPECT_LT(max_cost / min_cost, 1.1) << count;
 
         // Merge: byte-identical to the unsharded serial export.
         CampaignManifest m;
         ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
         ASSERT_EQ(m.entries.size(), r.jobs.size());
         ResultCache cache(spec.cacheDir);
-        ManifestCollection col = collectManifestSamples(m, cache);
+        ManifestCollection col = collectManifestSamples(m, cache, f.machine);
         EXPECT_TRUE(col.missing.empty());
         std::ostringstream merged_csv;
         exportSamplesCsv(merged_csv, col.samples);
@@ -1344,38 +1348,6 @@ TEST(CampaignMeasure, LongestFirstDrainKeepsExportBytes)
     std::ostringstream b;
     exportSamplesCsv(b, c4.measure(progs, cfgs));
     EXPECT_EQ(a.str(), b.str());
-}
-
-TEST(CampaignPlan, DryRunPartitionsWithoutMeasuring)
-{
-    Fixture f;
-    CampaignSpec spec = tinySpec();
-    spec.configs = {{8, 4}, {1, 1}, {4, 2}};
-    Campaign c(f.machine, spec);
-    CampaignPlan plan = c.plan(f.arch, 3);
-
-    EXPECT_EQ(plan.totalJobs,
-              plan.workloads.size() * spec.configs.size());
-    ASSERT_EQ(plan.shards.size(), 3u);
-    ASSERT_EQ(plan.roundRobin.size(), 3u);
-    // Shards cover the job list disjointly; costs add up.
-    std::vector<char> seen(plan.totalJobs, 0);
-    double shard_cost = 0.0;
-    for (const auto &sp : plan.shards) {
-        shard_cost += sp.cost;
-        for (size_t i : sp.jobs) {
-            EXPECT_EQ(seen[i], 0);
-            seen[i] = 1;
-        }
-    }
-    for (size_t i = 0; i < seen.size(); ++i)
-        EXPECT_EQ(seen[i], 1) << i;
-    EXPECT_DOUBLE_EQ(shard_cost, plan.totalCost);
-    // The skewed config mix is exactly what round-robin balances
-    // poorly and LPT balances well.
-    EXPECT_LE(plan.stripedImbalance, plan.roundRobinImbalance);
-    // Dry run: nothing measured, nothing cached.
-    EXPECT_EQ(c.cacheHits() + c.cacheMisses(), 0u);
 }
 
 // ---------------------------------------------------------------
@@ -1557,40 +1529,8 @@ TEST(SampleText, MissingFreqLoadsAsNominalDefault)
 
 TEST(CampaignCache, LegacyEntryWithoutFreqIsAHit)
 {
-    // End to end: strip the freq line off a real cache entry (as a
-    // pre-DVFS run would have written it) and re-measure — the
-    // entry must stay a hit.
-    Fixture f;
-    auto progs = f.programs(1);
-    std::vector<ChipConfig> cfgs = {{1, 1}};
-    CampaignSpec spec = tinySpec();
-    spec.cacheDir = freshCacheDir("freq-legacy");
-
-    Campaign c(f.machine, spec);
-    auto s1 = c.measure(progs, cfgs);
-
-    uint64_t key = campaignJobKey(progs[0], cfgs[0],
-                                  f.machine.fingerprint(), 0);
-    ResultCache cache(spec.cacheDir);
-    std::string text;
-    {
-        std::ifstream in(cache.pathOf(key));
-        std::ostringstream os;
-        os << in.rdbuf();
-        text = os.str();
-    }
-    auto at = text.find("freq ");
-    ASSERT_NE(at, std::string::npos);
-    {
-        std::ofstream out(cache.pathOf(key));
-        out << text.substr(0, at)
-            << text.substr(text.find('\n', at) + 1);
-    }
-    Campaign c2(f.machine, spec);
-    auto s2 = c2.measure(progs, cfgs);
-    EXPECT_EQ(c2.cacheHits(), 1u);
-    EXPECT_EQ(c2.cacheMisses(), 0u);
-    EXPECT_TRUE(samplesEqual(s1[0], s2[0]));
+    // As a pre-DVFS run would have written it.
+    expectLegacyEntryHits({"freq "});
 }
 
 TEST(CampaignManifest, FreqSuffixRoundTripsAndRejectsCorrupt)
@@ -1657,7 +1597,7 @@ TEST(CampaignShard, ShardedFreqSweepMergesBitIdentical)
     CampaignManifest m;
     ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
     ResultCache cache(spec.cacheDir);
-    ManifestCollection col = collectManifestSamples(m, cache);
+    ManifestCollection col = collectManifestSamples(m, cache, f.machine);
     EXPECT_TRUE(col.missing.empty());
     std::ostringstream merged_csv;
     exportSamplesCsv(merged_csv, col.samples);
@@ -1813,44 +1753,114 @@ TEST(SampleText, MissingVddLoadsAsCurveDefault)
 
 TEST(CampaignCache, LegacyEntryWithoutVddIsAHit)
 {
-    // End to end: strip the vdd and reliable lines off a real
-    // cache entry (as a pre-undervolting run would have written
-    // it) and re-measure — the entry must stay a hit with the
-    // exact on-curve voltage.
+    // As a pre-undervolting run would have written it: the entry
+    // keeps the exact on-curve voltage.
+    expectLegacyEntryHits({"vdd ", "reliable "});
+}
+
+TEST(CampaignCache, LegacyEntryWithoutFreqOrVddStillHits)
+{
+    // The oldest entries carry neither line: they parse with
+    // sampleFromText's defaults, which are a nominal job's point on
+    // the default machine.
+    expectLegacyEntryHits({"freq ", "vdd ", "reliable "});
+}
+
+namespace
+{
+
+/** Overwrite @p to's cache entry with a copy of @p from's. */
+void
+copyEntry(const ResultCache &cache, uint64_t from, uint64_t to)
+{
+    std::filesystem::copy_file(
+        cache.pathOf(from), cache.pathOf(to),
+        std::filesystem::copy_options::overwrite_existing);
+}
+
+/** Index of the job of workload @p w on @p cfg at @p freq/@p vdd. */
+size_t
+jobIndex(const CampaignResult &r, size_t w, ChipConfig cfg,
+         double freq = 0.0, double vdd = 0.0)
+{
+    for (size_t i = 0; i < r.jobs.size(); ++i) {
+        const CampaignJob &j = r.jobs[i];
+        if (j.workload == w && j.config.cores == cfg.cores &&
+            j.config.smt == cfg.smt && j.freqGhz == freq &&
+            j.vdd == vdd)
+            return i;
+    }
+    ADD_FAILURE() << "no such job";
+    return 0;
+}
+
+} // namespace
+
+TEST(CampaignCache, SwappedEntryIsReMeasuredNotExported)
+{
+    // One job's entry copied over another's key (workload 0 on
+    // 8-4 over workload 1 on 1-1) is somebody else's sample: a warm
+    // run re-measures it, and --merge reports it missing.
     Fixture f;
-    auto progs = f.programs(1);
-    std::vector<ChipConfig> cfgs = {{1, 1}};
     CampaignSpec spec = tinySpec();
-    spec.cacheDir = freshCacheDir("vdd-legacy");
+    spec.configs = {{1, 1}, {8, 4}};
+    spec.cacheDir = freshCacheDir("swap");
+    Campaign cold(f.machine, spec);
+    CampaignResult r = cold.run(f.arch);
+    std::ostringstream cold_csv;
+    exportSamplesCsv(cold_csv, r.samples);
 
-    Campaign c(f.machine, spec);
-    auto s1 = c.measure(progs, cfgs);
-
-    uint64_t key = campaignJobKey(progs[0], cfgs[0],
-                                  f.machine.fingerprint(), 0);
     ResultCache cache(spec.cacheDir);
-    std::string text;
-    {
-        std::ifstream in(cache.pathOf(key));
-        std::ostringstream os;
-        os << in.rdbuf();
-        text = os.str();
-    }
-    for (const char *k : {"vdd ", "reliable "}) {
-        auto at = text.find(k);
-        ASSERT_NE(at, std::string::npos) << k;
-        text = text.substr(0, at) +
-               text.substr(text.find('\n', at) + 1);
-    }
-    {
-        std::ofstream out(cache.pathOf(key));
-        out << text;
-    }
-    Campaign c2(f.machine, spec);
-    auto s2 = c2.measure(progs, cfgs);
-    EXPECT_EQ(c2.cacheHits(), 1u);
-    EXPECT_EQ(c2.cacheMisses(), 0u);
-    EXPECT_TRUE(samplesEqual(s1[0], s2[0]));
+    const CampaignJob &victim = r.jobs[jobIndex(r, 1, {1, 1})];
+    copyEntry(cache, r.jobs[jobIndex(r, 0, {8, 4})].key, victim.key);
+
+    CampaignManifest m;
+    ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
+    ManifestCollection col = collectManifestSamples(m, cache, f.machine);
+    ASSERT_EQ(col.missing.size(), 1u);
+    EXPECT_EQ(col.missing[0].key, victim.key);
+    EXPECT_EQ(cache.corrupt(), 1u);
+
+    Campaign warm(f.machine, spec);
+    CampaignResult w = warm.run(f.arch);
+    EXPECT_EQ(w.cacheCorrupt, 1u);
+    EXPECT_EQ(w.cacheMisses, 1u);
+    std::ostringstream warm_csv;
+    exportSamplesCsv(warm_csv, w.samples);
+    EXPECT_EQ(warm_csv.str(), cold_csv.str());
+
+    // The re-measure stored the right sample under the key.
+    EXPECT_TRUE(
+        collectManifestSamples(m, cache, f.machine).missing.empty());
+}
+
+TEST(CampaignCache, EntryOfAnotherOperatingPointIsRejected)
+{
+    // Same workload and config, another frequency or voltage: the
+    // key differs, and so must the entry's point.
+    Fixture f;
+    CampaignSpec spec = tinySpec();
+    spec.configs = {{2, 2}};
+    spec.freqs = {2.0, 3.5};
+    spec.vdds = {0.9, 0.95};
+    spec.cacheDir = freshCacheDir("swap-point");
+    Campaign cold(f.machine, spec);
+    CampaignResult r = cold.run(f.arch);
+    std::ostringstream cold_csv;
+    exportSamplesCsv(cold_csv, r.samples);
+
+    ResultCache cache(spec.cacheDir);
+    copyEntry(cache, r.jobs[jobIndex(r, 0, {2, 2}, 2.0, 0.9)].key,
+              r.jobs[jobIndex(r, 0, {2, 2}, 3.5, 0.9)].key);
+    copyEntry(cache, r.jobs[jobIndex(r, 1, {2, 2}, 2.0, 0.9)].key,
+              r.jobs[jobIndex(r, 1, {2, 2}, 2.0, 0.95)].key);
+
+    Campaign warm(f.machine, spec);
+    CampaignResult w = warm.run(f.arch);
+    EXPECT_EQ(w.cacheCorrupt, 2u);
+    std::ostringstream warm_csv;
+    exportSamplesCsv(warm_csv, w.samples);
+    EXPECT_EQ(warm_csv.str(), cold_csv.str());
 }
 
 TEST(CampaignManifest, VddSuffixRoundTripsAndRejectsCorrupt)
@@ -1929,7 +1939,7 @@ TEST(CampaignShard, ShardedVddFreqSweepMergesBitIdentical)
     CampaignManifest m;
     ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
     ResultCache cache(spec.cacheDir);
-    ManifestCollection col = collectManifestSamples(m, cache);
+    ManifestCollection col = collectManifestSamples(m, cache, f.machine);
     EXPECT_TRUE(col.missing.empty());
     std::ostringstream merged_csv;
     exportSamplesCsv(merged_csv, col.samples);

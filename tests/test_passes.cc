@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
 
 #include "microprobe/arch.hh"
@@ -78,6 +79,57 @@ TEST(InstructionMixPass, WeightsRespected)
     double share = static_cast<double>(adds) /
                    static_cast<double>(p.body.size() - 1);
     EXPECT_NEAR(share, 0.75, 0.04);
+}
+
+TEST(InstructionMixPass, PicksMatchALinearScan)
+{
+    // The pass binary-searches running sums; a linear scan over the
+    // same weights (its previous implementation) is the reference.
+    // Random weight vectors with zeros in any position, of sizes
+    // 1 to 40, all drawn against the same uniform stream.
+    auto a = arch();
+    Rng gen(11);
+    for (int trial = 0; trial < 300; ++trial) {
+        size_t k = 1 + gen.below(40);
+        std::vector<Isa::OpIndex> cands;
+        std::vector<double> w;
+        for (size_t i = 0; i < k; ++i) {
+            cands.push_back(static_cast<Isa::OpIndex>(i));
+            w.push_back(gen.chance(0.3) ? 0.0
+                                        : gen.uniform(0.0, 10.0));
+        }
+        w[gen.below(k)] = 1.0; // some weight is positive
+        Program p = skeleton(a, 256);
+        Rng rng(1000 + static_cast<uint64_t>(trial));
+        Rng ref = rng;
+        InstructionMixPass(cands, w).apply(p, a, rng);
+
+        double total = 0.0;
+        for (double x : w)
+            total += x;
+        for (size_t s = 0; s + 1 < p.body.size(); ++s) {
+            double r = ref.uniform() * total;
+            size_t pick = 0;
+            double acc = 0.0;
+            for (size_t i = 0; i < k; ++i) {
+                acc += w[i];
+                if (r < acc) {
+                    pick = i;
+                    break;
+                }
+            }
+            ASSERT_EQ(p.body[s].op, cands[pick])
+                << "trial " << trial << ", slot " << s;
+        }
+    }
+}
+
+TEST(InstructionMixPassDeath, BadWeightFatal)
+{
+    for (double bad : {-1.0, std::nan(""), HUGE_VAL})
+        EXPECT_EXIT(InstructionMixPass mix({0, 1}, {1.0, bad}),
+                    testing::ExitedWithCode(1), "bad weight")
+            << bad;
 }
 
 TEST(InstructionMixPassDeath, EmptyCandidatesFatal)

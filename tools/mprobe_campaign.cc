@@ -293,11 +293,13 @@ runCalibrate(const std::string &metrics_path)
 
 /**
  * The merge step of a sharded or served campaign: read the
- * manifest, verify every job key has a cached result, and export
- * the unified sample set in manifest (= job) order — byte identical
- * to the export of the same campaign run unsharded. Exits the
- * process (no measurement happens on this path) with a distinct,
- * scriptable code per failure mode:
+ * manifest, verify every job key has a cached result that is that
+ * job's (workload, config and @p machine's operating point), and
+ * export the unified sample set in manifest (= job) order — byte
+ * identical to the export of the same campaign run unsharded. A
+ * rejected entry is reported missing. Exits the process (no
+ * measurement happens on this path) with a distinct, scriptable
+ * code per failure mode:
  *
  *   0  complete; export written
  *   3  the cache directory does not exist
@@ -307,7 +309,8 @@ runCalibrate(const std::string &metrics_path)
 [[noreturn]] void
 runMerge(const std::string &cache_dir,
          const std::string &manifest_dir, double claim_ttl,
-         const std::string &csv, const std::string &json)
+         const Machine &machine, const std::string &csv,
+         const std::string &json)
 {
     if (cache_dir.empty())
         fatal("--merge needs a cache directory (--cache-dir or "
@@ -333,7 +336,7 @@ runMerge(const std::string &cache_dir,
         std::exit(4);
     }
     ResultCache cache(cache_dir);
-    ManifestCollection col = collectManifestSamples(m, cache);
+    ManifestCollection col = collectManifestSamples(m, cache, machine);
     if (!col.missing.empty()) {
         // Distinguish "workers still running" from "work
         // abandoned": a fresh claim file on a missing job means a
@@ -369,6 +372,12 @@ runMerge(const std::string &cache_dir,
                          "(remaining shards, --resume, or a "
                          "--serve worker) into this cache "
                          "directory, then merge again\n";
+        if (cache.corrupt() > 0)
+            std::cout << cache.corrupt()
+                      << " of them have a cache entry that is not "
+                         "their job's (warnings above); a campaign "
+                         "run with another --arch merges only with "
+                         "that --arch\n";
         std::exit(5);
     }
     std::cout << "merge: " << col.samples.size()
@@ -463,9 +472,8 @@ main(int argc, char **argv)
     args.addOption("shard", "",
                    "measure only shard i/n of the job list (e.g. "
                    "0/4), partitioned by estimated job cost "
-                   "(cost-weighted striping; see --plan); all "
-                   "shards share --cache-dir, --merge assembles "
-                   "the union");
+                   "(cost-weighted striping); all shards share "
+                   "--cache-dir, --merge assembles the union");
     args.addOption("progress-seconds", "",
                    "override: seconds between progress lines "
                    "while measuring (0 disables)");
@@ -496,17 +504,12 @@ main(int argc, char **argv)
                    "manifest per campaign; point --merge here)");
     args.addFlag("merge",
                  "no measurement: verify every manifest job has a "
-                 "cached result and export the unified samples "
-                 "(the merge step after sharded or --serve runs); "
-                 "exits 3 when the cache dir is missing, 4 when "
-                 "it has no manifest, 5 when jobs are "
-                 "unfinished");
-    args.addFlag("plan",
-                 "dry run: generate and expand the campaign, print "
-                 "the cost-striped per-shard schedule (job counts, "
-                 "estimated costs, round-robin comparison) and "
-                 "exit without measuring; --shard i/n sets the "
-                 "shard count");
+                 "cached result that is that job (checked against "
+                 "--arch's operating points) and export the "
+                 "unified samples (the merge step after sharded or "
+                 "--serve runs); exits 3 when the cache dir is "
+                 "missing, 4 when it has no manifest, 5 when jobs "
+                 "are unfinished");
     args.addOption("csv", "", "export samples as CSV to this path");
     args.addOption("json", "",
                    "export samples as JSON to this path");
@@ -604,86 +607,36 @@ main(int argc, char **argv)
 
     if (args.getFlag("fleet-status")) {
         if (args.getFlag("merge") || args.getFlag("resume") ||
-            args.getFlag("plan") || spec.serve)
+            spec.serve)
             fatal("--fleet-status is a standalone step; it does "
-                  "not combine with --merge, --plan, --serve or "
-                  "--resume");
+                  "not combine with --merge, --serve or --resume");
         runFleetStatus(spec.cacheDir);
     }
 
     if (!args.get("calibrate").empty()) {
-        if (args.getFlag("merge") || args.getFlag("resume") ||
-            args.getFlag("plan"))
+        if (args.getFlag("merge") || args.getFlag("resume"))
             fatal("--calibrate is a standalone step; it does not "
-                  "combine with --merge, --plan or --resume");
+                  "combine with --merge or --resume");
         runCalibrate(args.get("calibrate"));
     }
-
-    if (args.getFlag("merge")) {
-        // Check the effective spec, so a `shard =` or `serve =`
-        // key loaded from the spec file is rejected like the
-        // flags.
-        if (args.getFlag("resume") || args.getFlag("plan") ||
-            spec.sharded() || spec.serve)
-            fatal("--merge is a standalone step; it does not "
-                  "combine with --shard, --serve, --plan or "
-                  "--resume");
-        runMerge(spec.cacheDir, spec.manifestDir,
-                 spec.claimTtlSeconds, args.get("csv"),
-                 args.get("json"));
-    }
-
-    std::cout << spec.summary() << "\n";
 
     Architecture arch = Architecture::get(args.get("arch"));
     Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
                     arch.uarch().clockGhz());
 
-    if (args.getFlag("plan")) {
-        if (args.getFlag("resume") || spec.serve)
-            fatal("--plan is a dry run; it does not combine with "
-                  "--resume or --serve");
-        // A plan is shard-count-generic: normalize the spec to
-        // unsharded and drop the cache directory (a dry run
-        // touches no shared state, not even a mkdir), then
-        // partition for the requested count.
-        int plan_count = spec.shardCount;
-        CampaignSpec pspec = spec;
-        pspec.shardIndex = 0;
-        pspec.shardCount = 1;
-        pspec.cacheDir.clear();
-        Campaign campaign(machine, pspec);
-        CampaignPlan plan = campaign.plan(arch, plan_count);
-
-        TextTable t({"Shard", "Jobs", "Est. cost", "Share",
-                     "Round-robin cost"});
-        for (int s = 0; s < plan_count; ++s) {
-            const auto &sp = plan.shards[static_cast<size_t>(s)];
-            const auto &rp =
-                plan.roundRobin[static_cast<size_t>(s)];
-            t.addRow({cat(s, "/", plan_count),
-                      std::to_string(sp.jobs.size()),
-                      TextTable::num(sp.cost, 0),
-                      cat(TextTable::num(plan.totalCost > 0
-                                             ? 100.0 * sp.cost /
-                                                   plan.totalCost
-                                             : 0.0,
-                                         1),
-                          "%"),
-                      TextTable::num(rp.cost, 0)});
-        }
-        t.print(std::cout);
-        std::cout << plan.totalJobs << " jobs, total estimated "
-                  << "cost " << TextTable::num(plan.totalCost, 0)
-                  << "; max/min shard cost "
-                  << TextTable::num(plan.stripedImbalance, 2)
-                  << " cost-striped vs "
-                  << TextTable::num(plan.roundRobinImbalance, 2)
-                  << " round-robin\n"
-                  << "dry run: nothing was measured (drop --plan "
-                  << "to execute)\n";
-        return 0;
+    if (args.getFlag("merge")) {
+        // Check the effective spec, so a `shard =` or `serve =`
+        // key loaded from the spec file is rejected like the
+        // flags.
+        if (args.getFlag("resume") || spec.sharded() || spec.serve)
+            fatal("--merge is a standalone step; it does not "
+                  "combine with --shard, --serve or --resume");
+        runMerge(spec.cacheDir, spec.manifestDir,
+                 spec.claimTtlSeconds, machine, args.get("csv"),
+                 args.get("json"));
     }
+
+    std::cout << spec.summary() << "\n";
 
     if (args.getFlag("resume"))
         reportResume(spec, machine.fingerprint());
