@@ -20,7 +20,6 @@
 #include "campaign/queue.hh"
 #include "microprobe/bootstrap.hh"
 #include "obs/metrics.hh"
-#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "util/hash.hh"
 #include "util/logging.hh"
@@ -136,6 +135,12 @@ campaignFingerprint(const CampaignSpec &spec,
     return h.digest();
 }
 
+namespace
+{
+
+/** The operating point @p job measures at (and every cache reader
+ * checks): the machine's curve point at the job's frequency, with
+ * the voltage overridden when the job sweeps an off-curve vdd. */
 OperatingPoint
 jobPoint(const Machine &machine, const CampaignJob &job)
 {
@@ -144,17 +149,6 @@ jobPoint(const Machine &machine, const CampaignJob &job)
         op.voltage = job.vdd;
     return op;
 }
-
-SampleIdentity
-jobIdentity(const Machine &machine, const CampaignJob &job,
-            const std::string &workload)
-{
-    OperatingPoint op = jobPoint(machine, job);
-    return {workload, job.config, op.freqGhz, op.voltage};
-}
-
-namespace
-{
 
 /** The jobs at @p indices, in index order. */
 std::vector<CampaignJob>
@@ -168,18 +162,78 @@ jobsAt(const std::vector<CampaignJob> &jobs,
     return out;
 }
 
-/** Per-job wall-seconds histogram, registered once (the registry
- * lookup locks; the hot loop must only touch atomics). Buckets span
- * cache hits (µs) through heavy cold simulations. */
-obs::Histogram &
-jobHistogram()
+} // namespace
+
+SampleIdentity
+jobIdentity(const Machine &machine, const CampaignJob &job,
+            const std::string &workload)
 {
-    static obs::Histogram &h = obs::histogram(
-        "job_seconds", {0.0001, 0.001, 0.01, 0.1, 1.0, 10.0});
-    return h;
+    OperatingPoint op = jobPoint(machine, job);
+    return {workload, job.config, op.freqGhz, op.voltage};
 }
 
-} // namespace
+JobExecutor::JobExecutor(const Machine &m, ResultCache &c)
+    : machine(m), cache(c)
+{
+}
+
+bool
+JobExecutor::run(const CampaignJob &job, const Program &prog, Sample &out,
+                 double *seconds, std::unique_ptr<Machine::Batch> *batch) const
+{
+    // Registered once (the registry lookup locks). Buckets span
+    // cache hits (µs) through heavy cold simulations.
+    static obs::Histogram &hist = obs::histogram(
+        "job_seconds", {0.0001, 0.001, 0.01, 0.1, 1.0, 10.0});
+    // lint: wallclock-ok(per-job seconds: span, histogram, --calibrate)
+    using clock = std::chrono::steady_clock;
+    const auto t0 = clock::now();
+    obs::TraceSpan span("campaign.job");
+    auto id = jobIdentity(machine, job, prog.name);
+    bool cached = cache.lookup(job.key, id, out);
+    if (cached) {
+        obs::counter("cache_hits").add();
+    } else {
+        obs::counter("cache_misses").add();
+        if (batch && !*batch)
+            batch->reset(new Machine::Batch(machine, prog));
+        out = measure(job, prog, batch ? batch->get() : nullptr);
+    }
+    double dt = std::chrono::duration<double>(clock::now() - t0).count();
+    hist.observe(dt);
+    span.note("cached", cached);
+    span.note("cost_est", job.cost);
+    span.note("seconds", dt);
+    if (seconds)
+        *seconds = dt;
+    return cached;
+}
+
+bool
+JobExecutor::collect(const CampaignJob &job, const Program &prog,
+                     Sample &out) const
+{
+    if (cache.peek(job.key, jobIdentity(machine, job, prog.name), out))
+        return false;
+    out = measure(job, prog, nullptr);
+    return true;
+}
+
+Sample
+JobExecutor::measure(const CampaignJob &job, const Program &prog,
+                     Machine::Batch *batch) const
+{
+    // The measurement salt derives from the job's content hash,
+    // never from scheduling, so repeated sensor noise matches the
+    // serial reference run and the cache exactly.
+    uint64_t salt = hashCombine(job.key, 0x5a17ull);
+    OperatingPoint op = jobPoint(machine, job);
+    RunResult r = batch ? batch->run(job.config, op, salt)
+                        : machine.run(prog, job.config, op, salt);
+    Sample s = makeSample(prog.name, r);
+    cache.store(job.key, s);
+    return s;
+}
 
 std::vector<size_t>
 costAwareShardIndices(const std::vector<CampaignJob> &jobs,
@@ -362,6 +416,11 @@ Campaign::writeManifest(
     CampaignManifest m;
     m.spec = spec.contentSummary();
     m.fingerprint = campaignFingerprint(spec, machineFp);
+    // What operatingPoint() resolves jobs from, so --merge needs no
+    // --arch to check them.
+    const GroundTruthParams &gt = machine.groundTruth();
+    m.curve = {machine.clockGhz(), gt.vddNominal, gt.vddSlopePerGhz,
+               gt.vddFloor};
     m.entries.reserve(jobs.size());
     for (const auto &job : jobs) {
         const CampaignWorkload &w = workloads[job.workload];
@@ -476,48 +535,17 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
     out.samples.resize(jobs.size());
     out.seconds.assign(jobs.size(), 0.0);
     out.cached.assign(jobs.size(), 0);
+    JobExecutor exec(machine, cache);
     parallelFor(spec.threads, groups.size(), [&](size_t q) {
         // One decode per group, deferred until a member misses the
         // cache: an all-hit group never decodes or simulates.
         std::unique_ptr<Machine::Batch> batch;
         for (size_t i : groups[exec_order[q]]) {
             const CampaignJob &job = jobs[i];
-            const auto jt0 = clock::now();
-            {
-                obs::TraceSpan jspan("campaign.job");
-                const Program &prog = workloads[job.workload].program;
-                auto id = jobIdentity(machine, job, prog.name);
-                Sample s;
-                if (cache.lookup(job.key, id, s)) {
-                    obs::counter("cache_hits").add();
-                    out.samples[i] = std::move(s);
-                    out.cached[i] = 1;
-                    ++cached;
-                } else {
-                    obs::counter("cache_misses").add();
-                    // The measurement salt derives from the job's
-                    // content hash, never from scheduling, so
-                    // repeated sensor noise matches the serial
-                    // reference run and the cache exactly.
-                    uint64_t salt = hashCombine(job.key, 0x5a17ull);
-                    if (!batch)
-                        batch.reset(
-                            new Machine::Batch(machine, prog));
-                    out.samples[i] = makeSample(
-                        prog.name,
-                        batch->run(job.config,
-                                   jobPoint(machine, job), salt));
-                    cache.store(job.key, out.samples[i]);
-                }
-                out.seconds[i] =
-                    std::chrono::duration<double>(clock::now() -
-                                                  jt0)
-                        .count();
-                jobHistogram().observe(out.seconds[i]);
-                jspan.note("cached", out.cached[i]);
-                jspan.note("cost_est", job.cost);
-                jspan.note("seconds", out.seconds[i]);
-            }
+            out.cached[i] = exec.run(job, workloads[job.workload].program,
+                                     out.samples[i], &out.seconds[i], &batch);
+            if (out.cached[i])
+                ++cached;
             (out.cached[i] ? cached_cost_milli : cold_cost_milli)
                 .fetch_add(static_cast<int64_t>(
                     std::llround(job.cost * 1000.0)));
@@ -604,32 +632,7 @@ Campaign::runClaimed(
     out.seconds.assign(jobs.size(), 0.0);
     out.cached.assign(jobs.size(), 0);
 
-    // Fleet telemetry: this worker's live snapshot, published
-    // atomically next to its claim files so peers and status
-    // observers can aggregate the fleet without talking to it.
-    // Strictly observability — nothing reads it back into job
-    // selection or results.
-    auto publishTelemetry = [&](const ClaimDir &cd,
-                                double elapsed_s,
-                                size_t jobs_run) {
-        obs::WorkerTelemetry t;
-        t.worker = cd.workerId();
-        t.jobs = jobs_run;
-        t.hits = cache.hits();
-        t.acquired = cd.acquired();
-        t.stolen = cd.stolen();
-        t.seconds = elapsed_s;
-        t.jobsPerSecond = elapsed_s > 0.0
-                              ? static_cast<double>(jobs_run) /
-                                    elapsed_s
-                              : 0.0;
-        size_t looked = cache.hits() + cache.misses();
-        t.hitRate = looked > 0 ? static_cast<double>(cache.hits()) /
-                                     static_cast<double>(looked)
-                               : 0.0;
-        obs::writeWorkerTelemetry(spec.cacheDir, t);
-    };
-
+    JobExecutor exec(machine, cache);
     // Every worker thread loops pull -> run -> complete until the
     // pool is drained; parallelFor's index is just a worker id.
     // Unlike runJobs there is no per-index slot discipline — a
@@ -648,38 +651,11 @@ Campaign::runClaimed(
                         spec.claimPollSeconds));
                 continue;
             }
+            // The executor re-checks the cache: a peer may have
+            // cached the job between our queue scan and the claim.
             const CampaignJob &job = jobs[i];
-            const auto jt0 = clock::now();
-            {
-                obs::TraceSpan jspan("campaign.job");
-                const Program &prog = workloads[job.workload].program;
-                auto id = jobIdentity(machine, job, prog.name);
-                Sample s;
-                if (cache.lookup(job.key, id, s)) {
-                    // Rare but possible: a peer cached the job
-                    // between our queue scan and the claim
-                    // acquisition.
-                    obs::counter("cache_hits").add();
-                    out.samples[i] = std::move(s);
-                    out.cached[i] = 1;
-                } else {
-                    obs::counter("cache_misses").add();
-                    uint64_t salt = hashCombine(job.key, 0x5a17ull);
-                    out.samples[i] = makeSample(
-                        prog.name,
-                        machine.run(prog, job.config,
-                                    jobPoint(machine, job), salt));
-                    cache.store(job.key, out.samples[i]);
-                }
-                out.seconds[i] =
-                    std::chrono::duration<double>(clock::now() -
-                                                  jt0)
-                        .count();
-                jobHistogram().observe(out.seconds[i]);
-                jspan.note("cached", out.cached[i]);
-                jspan.note("cost_est", job.cost);
-                jspan.note("seconds", out.seconds[i]);
-            }
+            out.cached[i] = exec.run(job, workloads[job.workload].program,
+                                     out.samples[i], &out.seconds[i]);
             // Store first, release second: once the claim is gone
             // the job must already be skippable via the cache.
             queue.complete(i);
@@ -703,10 +679,8 @@ Campaign::runClaimed(
                 // The progress reporter doubles as the telemetry
                 // heartbeat: the CAS elected exactly one thread,
                 // and atomicWriteFile keeps readers tear-free.
-                publishTelemetry(claimdir,
-                                 static_cast<double>(elapsed) /
-                                     1000.0,
-                                 k);
+                claimdir.publishTelemetry(
+                    cache, k, static_cast<double>(elapsed) / 1000.0);
             }
         }
     };
@@ -722,23 +696,14 @@ Campaign::runClaimed(
     for (size_t i = 0; i < jobs.size(); ++i) {
         if (!out.samples[i].rates.empty())
             continue;
-        const CampaignJob &job = jobs[i];
-        const Program &prog = workloads[job.workload].program;
-        auto id = jobIdentity(machine, job, prog.name);
-        if (cache.peek(job.key, id, out.samples[i])) {
-            out.cached[i] = 1;
-            continue;
-        }
         // A cached result that vanished, went corrupt or is not
-        // this job's between drain and collection; re-measure it
-        // locally rather than exporting a hole.
-        uint64_t salt = hashCombine(job.key, 0x5a17ull);
-        out.samples[i] = makeSample(
-            prog.name,
-            machine.run(prog, job.config,
-                        jobPoint(machine, job), salt));
-        cache.store(job.key, out.samples[i]);
-        ++holes;
+        // this job's between drain and collection is re-measured
+        // locally rather than exported as a hole.
+        const CampaignJob &job = jobs[i];
+        if (exec.collect(job, workloads[job.workload].program, out.samples[i]))
+            ++holes;
+        else
+            out.cached[i] = 1;
     }
     if (holes > 0)
         warn(cat("campaign: serve: ", holes,
@@ -750,11 +715,9 @@ Campaign::runClaimed(
                queue.completedByPeers(), " measured by peers)"));
     // Final telemetry snapshot: the worker's last word stays on
     // disk (age tells observers it has finished or died).
-    publishTelemetry(claimdir,
-                     std::chrono::duration<double>(clock::now() -
-                                                   t0)
-                         .count(),
-                     ran.load());
+    claimdir.publishTelemetry(
+        cache, ran.load(),
+        std::chrono::duration<double>(clock::now() - t0).count());
     out.claimsAcquired = claimdir.acquired();
     out.claimsStolen = claimdir.stolen();
     return out;

@@ -21,6 +21,7 @@
 #ifndef CAMPAIGN_CAMPAIGN_HH
 #define CAMPAIGN_CAMPAIGN_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -150,24 +151,61 @@ campaignJobKeys(const Program &prog,
                 uint64_t machine_fingerprint, uint64_t salt);
 
 /**
- * The operating point @p job measures at: the machine's curve point
- * at the job's frequency, with the voltage overridden when the job
- * sweeps an off-curve vdd. Every executor builds its points here,
- * so a vdds sweep measures (and caches) the same point on every
- * path.
- */
-OperatingPoint jobPoint(const Machine &machine, const CampaignJob &job);
-
-/**
  * What @p job's cache entry must say it is (ResultCache::lookup):
  * @p workload (the job's program name), the job's configuration
- * and its jobPoint. Every reader of the cache checks entries
- * against it, so a file copied over another job's key is
- * re-measured instead of exported.
+ * and the operating point JobExecutor measures it at. Every reader
+ * of the cache checks entries against it, so a file copied over
+ * another job's key is re-measured instead of exported.
  */
 SampleIdentity jobIdentity(const Machine &machine,
                            const CampaignJob &job,
                            const std::string &workload);
+
+/**
+ * The one place a job becomes a sample. Plain runs, --serve workers
+ * and the service look up, measure, store and collect through it,
+ * so the salt, the operating point, the cache traffic, the span and
+ * the histogram agree on every path. It holds only references; one
+ * executor serves every worker thread.
+ */
+class JobExecutor
+{
+  public:
+    JobExecutor(const Machine &machine, ResultCache &cache);
+
+    /**
+     * Fill @p out with @p job's identity-checked cache entry, or
+     * else measure and store it before returning (so a --serve
+     * caller may release the claim next). Counts cache_hits or
+     * cache_misses, inside one campaign.job span (notes: cached,
+     * cost_est, seconds) with one job_seconds observation, also
+     * written to @p seconds when given. A miss measures through
+     * @p batch when given (the caller's (workload, SMT) group,
+     * built here on its first miss so an all-hit group never
+     * decodes), else through Machine::run. Returns whether the
+     * cache served the job.
+     */
+    bool run(const CampaignJob &job, const Program &prog, Sample &out,
+             double *seconds = nullptr,
+             std::unique_ptr<Machine::Batch> *batch = nullptr) const;
+
+    /**
+     * The collection step: @p job's cached sample into @p out,
+     * without touching the hit/miss statistics, or a re-measured
+     * and stored one when the entry vanished, went corrupt or is
+     * another job's. Returns true when it re-measured.
+     */
+    bool collect(const CampaignJob &job, const Program &prog,
+                 Sample &out) const;
+
+  private:
+    const Machine &machine;
+    ResultCache &cache;
+
+    /** Measure @p job (through @p batch when non-null); store it. */
+    Sample measure(const CampaignJob &job, const Program &prog,
+                   Machine::Batch *batch) const;
+};
 
 /**
  * Fingerprint of everything in (@p spec, machine) that determines a

@@ -16,6 +16,7 @@
 #include <sstream>
 
 #include "obs/metrics.hh"
+#include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
@@ -210,6 +211,26 @@ ClaimDir::sweepIfStale(uint64_t key)
         return false;
     std::error_code ec;
     return fs::remove(path, ec) && !ec;
+}
+
+void
+ClaimDir::publishTelemetry(const ResultCache &cache, uint64_t jobs_run,
+                           double seconds) const
+{
+    obs::WorkerTelemetry t;
+    t.worker = worker;
+    t.jobs = jobs_run;
+    t.hits = cache.hits();
+    t.acquired = acquired();
+    t.stolen = stolen();
+    t.seconds = seconds;
+    t.jobsPerSecond =
+        seconds > 0.0 ? static_cast<double>(jobs_run) / seconds : 0.0;
+    size_t looked = cache.hits() + cache.misses();
+    t.hitRate = looked > 0 ? static_cast<double>(cache.hits()) /
+                                 static_cast<double>(looked)
+                           : 0.0;
+    obs::writeWorkerTelemetry(dir, t);
 }
 
 // ----------------------------------------------------------------

@@ -138,6 +138,13 @@ class ClaimDir
      */
     bool sweepIfStale(uint64_t key);
 
+    /** Publish this worker's telemetry next to its claim files
+     * (obs/telemetry.hh): @p jobs_run jobs in @p seconds, plus
+     * @p cache's hit rate and the claim counts. Observability
+     * only; nothing reads it back into results. */
+    void publishTelemetry(const ResultCache &cache, uint64_t jobs_run,
+                          double seconds) const;
+
     /** @name Statistics (since construction) */
     /**@{*/
     size_t acquired() const { return nAcquired.load(); }

@@ -6,8 +6,10 @@
 #include "campaign/manifest.hh"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -33,8 +35,15 @@ manifestToText(const CampaignManifest &m)
     std::snprintf(key, sizeof key, "%016" PRIx64, m.fingerprint);
     os << "manifest v1\n"
        << "spec " << m.spec << "\n"
-       << "fingerprint " << key << "\n"
-       << "jobs " << m.entries.size() << "\n";
+       << "fingerprint " << key << "\n";
+    if (m.curve.clockGhz > 0.0) {
+        char curve[128];
+        std::snprintf(curve, sizeof curve, "%.17g %.17g %.17g %.17g",
+                      m.curve.clockGhz, m.curve.vddNominal,
+                      m.curve.vddSlopePerGhz, m.curve.vddFloor);
+        os << "curve " << curve << "\n";
+    }
+    os << "jobs " << m.entries.size() << "\n";
     for (const auto &e : m.entries) {
         std::snprintf(key, sizeof key, "%016" PRIx64, e.key);
         // The workload name goes last: it is the only field that
@@ -89,6 +98,24 @@ manifestFromText(const std::string &text, CampaignManifest &out)
             } catch (const std::exception &) {
                 return false;
             }
+        } else if (key == "curve") {
+            // "<clock GHz> <vdd nominal> <vdd slope/GHz> <vdd floor>"
+            auto tok = splitWs(val);
+            if (tok.size() != 4)
+                return false;
+            double v[4];
+            try {
+                for (size_t i = 0; i < 4; ++i)
+                    v[i] = std::stod(tok[i]);
+            } catch (const std::exception &) {
+                return false;
+            }
+            for (double x : v)
+                if (!std::isfinite(x))
+                    return false;
+            if (v[0] <= 0.0)
+                return false;
+            out.curve = {v[0], v[1], v[2], v[3]};
         } else if (key == "jobs") {
             try {
                 declared = std::stoul(trim(val));
@@ -192,13 +219,17 @@ mergeSaveManifest(const std::string &path,
     std::set<uint64_t> seen;
     for (const auto &e : existing.entries)
         seen.insert(e.key);
-    bool grew = false;
+    bool changed = false;
+    if (existing.curve.clockGhz <= 0.0 && m.curve.clockGhz > 0.0) {
+        existing.curve = m.curve;
+        changed = true;
+    }
     for (const auto &e : m.entries)
         if (seen.insert(e.key).second) {
             existing.entries.push_back(e);
-            grew = true;
+            changed = true;
         }
-    if (grew)
+    if (changed)
         saveManifest(path, existing);
 }
 
@@ -232,6 +263,18 @@ collectManifestSamples(const CampaignManifest &m,
                        const ResultCache &cache,
                        const Machine &machine)
 {
+    // Only the curve matters to a job's identity, so a machine on
+    // the recorded curve resolves exactly the campaign's points.
+    std::optional<Machine> recorded;
+    if (m.curve.clockGhz > 0.0) {
+        GroundTruthParams p;
+        p.clockGhz = m.curve.clockGhz;
+        p.vddNominal = m.curve.vddNominal;
+        p.vddSlopePerGhz = m.curve.vddSlopePerGhz;
+        p.vddFloor = m.curve.vddFloor;
+        recorded.emplace(machine.isa(), p);
+    }
+    const Machine &resolver = recorded ? *recorded : machine;
     ManifestCollection out;
     out.samples.reserve(m.entries.size());
     for (const auto &e : m.entries) {
@@ -239,7 +282,7 @@ collectManifestSamples(const CampaignManifest &m,
         job.config = e.config;
         job.freqGhz = e.freqGhz;
         job.vdd = e.vdd;
-        auto id = jobIdentity(machine, job, e.workload);
+        auto id = jobIdentity(resolver, job, e.workload);
         Sample s;
         if (cache.peek(e.key, id, s))
             out.samples.push_back(std::move(s));

@@ -57,6 +57,20 @@ struct ManifestEntry
     double vdd = 0.0;
 };
 
+/**
+ * A machine's nominal clock and V/f curve: the four values
+ * Machine::operatingPoint resolves a job's point from
+ * (GroundTruthParams' clockGhz, vddNominal, vddSlopePerGhz and
+ * vddFloor). A zero clock means "not recorded".
+ */
+struct ManifestCurve
+{
+    double clockGhz = 0.0;
+    double vddNominal = 0.0;
+    double vddSlopePerGhz = 0.0;
+    double vddFloor = 0.0;
+};
+
 /** The persisted job list of one campaign run. */
 struct CampaignManifest
 {
@@ -70,6 +84,13 @@ struct CampaignManifest
      * count is the same campaign, a different body size is not.
      */
     uint64_t fingerprint = 0;
+    /**
+     * The campaign machine's curve, so --merge checks entries at the
+     * campaign's own operating points whatever --arch says.
+     * Serialized as an optional "curve" header line; a manifest
+     * written before the line existed parses with none recorded.
+     */
+    ManifestCurve curve;
     std::vector<ManifestEntry> entries;
 };
 
@@ -91,7 +112,8 @@ void saveManifest(const std::string &path, const CampaignManifest &m);
 /**
  * Save @p m, merging with an existing manifest at @p path when that
  * manifest carries the same fingerprint: existing entries keep
- * their order, entries of @p m with unseen keys are appended. A
+ * their order, entries of @p m with unseen keys are appended, and
+ * a curve missing from the existing manifest is taken from @p m. A
  * missing or different-fingerprint manifest is overwritten. This
  * lets the measure() overloads accumulate one manifest across many
  * calls (the model pipeline issues several per run) and lets every
@@ -123,10 +145,11 @@ struct ManifestCollection
  * back empty, samples is the complete campaign: exporting it is
  * bit-identical to the export of an unsharded run, because the
  * manifest preserves job order and cached samples round-trip
- * exactly. Each entry is checked against its job's identity, with
- * the operating point resolved on @p machine (the campaign's), so
- * an entry that is another job's sample counts as missing. Does
- * not touch @p cache's hit/miss statistics.
+ * exactly. Each entry is checked against its job's identity, so an
+ * entry that is another job's sample counts as missing. The job's
+ * operating point resolves on a machine built from the manifest's
+ * curve; only a manifest without one falls back to @p machine's.
+ * Does not touch @p cache's hit/miss statistics.
  */
 ManifestCollection
 collectManifestSamples(const CampaignManifest &m,

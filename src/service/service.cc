@@ -15,7 +15,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "util/fileio.hh"
-#include "util/hash.hh"
 #include "util/logging.hh"
 
 namespace mprobe
@@ -239,22 +238,14 @@ CampaignService::updateStatus()
             // cached entry gone corrupt since the drain is
             // re-measured here rather than exported as a hole.
             std::vector<Sample> samples(c.jobs.size());
+            JobExecutor exec(c.machine, cache);
             for (size_t j = 0; j < c.jobs.size(); ++j) {
                 const CampaignJob &job = c.jobs[j];
-                const Program &prog =
-                    c.workloads[job.workload].program;
-                auto id = jobIdentity(c.machine, job, prog.name);
-                if (cache.peek(job.key, id, samples[j]))
-                    continue;
-                warn(cat("service: campaign '", c.name, "': job ",
-                         j, " vanished from the cache or was "
-                         "rejected; re-measuring"));
-                uint64_t salt = hashCombine(job.key, 0x5a17ull);
-                samples[j] = makeSample(
-                    prog.name, c.machine.run(prog, job.config,
-                                             jobPoint(c.machine, job),
-                                             salt));
-                cache.store(job.key, samples[j]);
+                if (exec.collect(job, c.workloads[job.workload].program,
+                                 samples[j]))
+                    warn(cat("service: campaign '", c.name, "': job ",
+                             j, " vanished from the cache or was "
+                             "rejected; re-measured it"));
             }
             std::ostringstream csv, json;
             exportSamplesCsv(csv, samples);
@@ -322,26 +313,9 @@ CampaignService::drainLoop()
         }
         ActiveCampaign &c = *ref.campaign;
         const CampaignJob &job = c.jobs[ref.job];
-        {
-            obs::TraceSpan jspan("service.job");
-            const Program &prog = c.workloads[job.workload].program;
-            auto id = jobIdentity(c.machine, job, prog.name);
-            Sample s;
-            if (cache.lookup(job.key, id, s)) {
-                obs::counter("cache_hits").add();
-                jspan.note("cached", 1);
-            } else {
-                obs::counter("cache_misses").add();
-                jspan.note("cached", 0);
-                uint64_t salt = hashCombine(job.key, 0x5a17ull);
-                s = makeSample(
-                    prog.name, c.machine.run(prog, job.config,
-                                             jobPoint(c.machine, job),
-                                             salt));
-                cache.store(job.key, s);
-            }
-            jspan.note("cost_est", job.cost);
-        }
+        Sample s;
+        JobExecutor(c.machine, cache)
+            .run(job, c.workloads[job.workload].program, s);
         jobsRun.fetch_add(1);
         queue.complete(gi);
         {
@@ -385,25 +359,9 @@ CampaignService::run()
     // watcher pass, read back (with every peer's) by updateStatus
     // into the status.json workers table.
     auto publishTelemetry = [&]() {
-        obs::WorkerTelemetry t;
-        t.worker = claims.workerId();
-        t.jobs = jobsRun.load();
-        t.hits = cache.hits();
-        t.acquired = claims.acquired();
-        t.stolen = claims.stolen();
-        t.seconds =
-            std::chrono::duration<double>(clock::now() - t0)
-                .count();
-        t.jobsPerSecond =
-            t.seconds > 0.0
-                ? static_cast<double>(t.jobs) / t.seconds
-                : 0.0;
-        size_t looked = cache.hits() + cache.misses();
-        t.hitRate = looked > 0
-                        ? static_cast<double>(cache.hits()) /
-                              static_cast<double>(looked)
-                        : 0.0;
-        obs::writeWorkerTelemetry(opts.cacheDir, t);
+        claims.publishTelemetry(
+            cache, jobsRun.load(),
+            std::chrono::duration<double>(clock::now() - t0).count());
     };
 
     while (!stopRequested.load()) {

@@ -1897,6 +1897,99 @@ TEST(CampaignManifest, VddSuffixRoundTripsAndRejectsCorrupt)
     }
 }
 
+TEST(CampaignManifest, CurveLineRoundTripsAndRejectsMalformed)
+{
+    CampaignManifest m;
+    m.spec = "s";
+    m.fingerprint = 7;
+    m.entries.push_back({1, {1, 1}, "adhoc", "w"});
+    // Without a recorded curve there is no line, and none parses.
+    std::string legacy = manifestToText(m);
+    EXPECT_EQ(legacy.find("curve"), std::string::npos);
+    CampaignManifest t;
+    ASSERT_TRUE(manifestFromText(legacy, t));
+    EXPECT_EQ(t.curve.clockGhz, 0.0);
+    const std::string path = freshCacheDir("curve") + ".manifest";
+    saveManifest(path, m);
+
+    m.curve = {3.6, 1.0, 0.16, 0.85};
+    // Saving the same campaign over its legacy manifest records the
+    // curve even when no job is new.
+    mergeSaveManifest(path, m);
+    CampaignManifest saved;
+    ASSERT_TRUE(loadManifest(path, saved));
+    EXPECT_EQ(saved.curve.clockGhz, 3.6);
+    EXPECT_EQ(saved.entries.size(), 1u);
+    const std::string line =
+        "curve 3.6000000000000001 1 0.16 0.84999999999999998";
+    std::string text = manifestToText(m);
+    EXPECT_NE(text.find("\n" + line + "\n"), std::string::npos) << text;
+    CampaignManifest u;
+    ASSERT_TRUE(manifestFromText(text, u));
+    EXPECT_EQ(u.curve.clockGhz, 3.6);
+    EXPECT_EQ(u.curve.vddNominal, 1.0);
+    EXPECT_EQ(u.curve.vddSlopePerGhz, 0.16);
+    EXPECT_EQ(u.curve.vddFloor, 0.85);
+    ASSERT_EQ(u.entries.size(), 1u);
+
+    // A wrong token count, a non-number, a non-finite value or a
+    // clock that is not positive fails the parse.
+    for (const char *bad :
+         {"curve 3.6 1 0.16", "curve 3.6 1 0.16 0.85 9",
+          "curve x 1 0.16 0.85", "curve 3.6 1 nan 0.85",
+          "curve 0 1 0.16 0.85", "curve -3 1 0.16 0.85", "curve"}) {
+        std::string broken = text;
+        broken.replace(broken.find(line), line.size(), bad);
+        CampaignManifest v;
+        EXPECT_FALSE(manifestFromText(broken, v)) << bad;
+    }
+}
+
+TEST(CampaignShard, Power7PlusMergesWithoutArch)
+{
+    // A campaign on the POWER7+ machine (3.6 GHz nominal) records
+    // its curve in the manifest, so a merge on the default machine
+    // (what --merge builds without --arch) checks every entry at
+    // the campaign's own points and assembles the unsharded export.
+    Architecture plus = Architecture::get("POWER7+");
+    Machine machine(plus.isa(), plus.uarch().cacheGeometries(),
+                    plus.uarch().clockGhz());
+    ASSERT_NE(machine.clockGhz(), kNominalFreqGhz);
+
+    CampaignSpec ref_spec = tinySpec();
+    ref_spec.cacheDir = freshCacheDir("plus-merge-ref");
+    Campaign ref(machine, ref_spec);
+    std::ostringstream ref_csv;
+    exportSamplesCsv(ref_csv, ref.run(plus).samples);
+
+    CampaignSpec spec = tinySpec();
+    spec.cacheDir = freshCacheDir("plus-merge");
+    spec.shardCount = 2;
+    for (int index = 0; index < 2; ++index) {
+        spec.shardIndex = index;
+        Campaign shard(machine, spec);
+        shard.run(plus);
+    }
+    CampaignManifest m;
+    ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
+    EXPECT_EQ(m.curve.clockGhz, machine.clockGhz());
+
+    Fixture f; // the default POWER7 machine
+    ResultCache cache(spec.cacheDir);
+    ManifestCollection col = collectManifestSamples(m, cache, f.machine);
+    EXPECT_TRUE(col.missing.empty());
+    std::ostringstream merged_csv;
+    exportSamplesCsv(merged_csv, col.samples);
+    EXPECT_EQ(merged_csv.str(), ref_csv.str());
+
+    // A manifest without the curve falls back to the given machine:
+    // only the campaign's own resolves its entries.
+    m.curve = ManifestCurve();
+    EXPECT_EQ(collectManifestSamples(m, cache, f.machine).missing.size(),
+              m.entries.size());
+    EXPECT_TRUE(collectManifestSamples(m, cache, machine).missing.empty());
+}
+
 TEST(CampaignShard, ShardedVddFreqSweepMergesBitIdentical)
 {
     // The acceptance bar: a sharded vdd x freq cross-product

@@ -7,7 +7,8 @@
  * semantics, deterministic name-sorted JSON), the fleet telemetry
  * file grammar round-trip, and the load-bearing end-to-end
  * guarantee: a traced campaign run produces byte-identical exports
- * to an untraced one.
+ * to an untraced one, and every execution path (plain, --serve, the
+ * service) emits the same per-job span and histogram.
  *
  * obs state is process-global (rings and the registry live for the
  * process); every test starts from obs::traceReset() /
@@ -25,9 +26,11 @@
 
 #include "campaign/campaign.hh"
 #include "campaign/export.hh"
+#include "campaign/manifest.hh"
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
+#include "service/service.hh"
 #include "util/logging.hh"
 
 using namespace mprobe;
@@ -583,5 +586,99 @@ TEST(TracedCampaign, ExpandEmitsPhaseSpans)
     EXPECT_TRUE(ends["campaign.measure"].empty());
     EXPECT_EQ(ends["bootstrap"].size(),
               arch.uarch().bootstrappedCount());
+    obs::traceReset();
+}
+
+namespace
+{
+
+/** campaign.job end events in the recorder, each checked for the
+ * notes every path attaches to it. */
+size_t
+jobSpanEnds(const std::string &label)
+{
+    size_t ends = 0;
+    for (const ParsedEvent &e : parseTrace(traceJson())) {
+        EXPECT_NE(e.name, "service.job") << label;
+        if (e.name != "campaign.job" || e.phase != 'E')
+            continue;
+        ++ends;
+        // A fresh cache: every job is measured.
+        for (const char *note :
+             {"\"cached\": 0", "\"cost_est\": ", "\"seconds\": "})
+            EXPECT_NE(e.args.find(note), std::string::npos)
+                << label << ": " << note << " missing from " << e.args;
+    }
+    return ends;
+}
+
+obs::Histogram &
+jobSecondsHistogram()
+{
+    return obs::histogram("job_seconds", {1.0});
+}
+
+} // namespace
+
+TEST(TracedCampaign, EveryPathEmitsOneJobSpanPerExecutedJob)
+{
+    // The drop-directory service and a 2-thread --serve run, each
+    // traced on a fresh cache, run every job through the same
+    // executor as a plain run: one campaign.job span per job with
+    // its cached/cost_est/seconds notes, and one job_seconds
+    // observation.
+    setLogLevel(LogLevel::Quiet);
+    const std::string spec_text = "categories = random\n"
+                                  "random_count = 3\n"
+                                  "body_size = 128\n"
+                                  "bootstrap = 0\n"
+                                  "configs = 1-1,2-1,1-2\n";
+
+    // The service over one dropped spec.
+    ServiceOptions opts;
+    opts.dropDir = freshCacheDir("parity-drop");
+    opts.cacheDir = freshCacheDir("parity-pool");
+    opts.resultsDir = freshCacheDir("parity-results");
+    opts.threads = 2;
+    opts.pollSeconds = 0.02;
+    opts.statusSeconds = 0.02;
+    opts.exitWhenIdle = true;
+    std::filesystem::create_directories(opts.dropDir);
+    {
+        std::ofstream f(opts.dropDir + "/parity.spec");
+        f << spec_text;
+    }
+    obs::traceReset();
+    uint64_t observed0 = jobSecondsHistogram().count();
+    obs::traceEnable();
+    {
+        CampaignService service(opts);
+        EXPECT_EQ(service.run(), 1u);
+    }
+    obs::traceDisable();
+    CampaignManifest m;
+    ASSERT_TRUE(loadManifest(manifestPath(opts.resultsDir + "/parity"), m));
+    ASSERT_EQ(m.entries.size(), 9u);
+    EXPECT_EQ(jobSpanEnds("service"), m.entries.size());
+    EXPECT_EQ(jobSecondsHistogram().count() - observed0, m.entries.size());
+
+    // A 2-thread --serve worker.
+    Architecture arch = Architecture::get("POWER7");
+    Machine machine{arch.isa()};
+    CampaignSpec spec = parseCampaignSpecText(spec_text, "parity");
+    spec.threads = 2;
+    spec.cacheDir = freshCacheDir("parity-serve");
+    spec.serve = true;
+    spec.workerId = "parity-worker";
+    spec.claimPollSeconds = 0.01;
+    obs::traceReset();
+    observed0 = jobSecondsHistogram().count();
+    obs::traceEnable();
+    Campaign campaign(machine, spec);
+    CampaignResult r = campaign.run(arch);
+    obs::traceDisable();
+    ASSERT_EQ(r.jobs.size(), 9u);
+    EXPECT_EQ(jobSpanEnds("serve"), r.jobs.size());
+    EXPECT_EQ(jobSecondsHistogram().count() - observed0, r.jobs.size());
     obs::traceReset();
 }

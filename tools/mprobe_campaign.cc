@@ -294,12 +294,13 @@ runCalibrate(const std::string &metrics_path)
 /**
  * The merge step of a sharded or served campaign: read the
  * manifest, verify every job key has a cached result that is that
- * job's (workload, config and @p machine's operating point), and
- * export the unified sample set in manifest (= job) order — byte
- * identical to the export of the same campaign run unsharded. A
- * rejected entry is reported missing. Exits the process (no
- * measurement happens on this path) with a distinct, scriptable
- * code per failure mode:
+ * job's (workload, config and operating point, resolved on the
+ * manifest's recorded machine curve, or on @p machine's for a
+ * manifest that predates the record), and export the unified
+ * sample set in manifest (= job) order — byte identical to the
+ * export of the same campaign run unsharded. A rejected entry is
+ * reported missing. Exits the process (no measurement happens on
+ * this path) with a distinct, scriptable code per failure mode:
  *
  *   0  complete; export written
  *   3  the cache directory does not exist
@@ -375,9 +376,10 @@ runMerge(const std::string &cache_dir,
         if (cache.corrupt() > 0)
             std::cout << cache.corrupt()
                       << " of them have a cache entry that is not "
-                         "their job's (warnings above); a campaign "
-                         "run with another --arch merges only with "
-                         "that --arch\n";
+                         "their job's (warnings above)\n";
+        if (cache.corrupt() > 0 && m.curve.clockGhz <= 0.0)
+            std::cout << "this manifest records no machine curve, so "
+                         "it merges only with the campaign's --arch\n";
         std::exit(5);
     }
     std::cout << "merge: " << col.samples.size()
@@ -504,12 +506,13 @@ main(int argc, char **argv)
                    "manifest per campaign; point --merge here)");
     args.addFlag("merge",
                  "no measurement: verify every manifest job has a "
-                 "cached result that is that job (checked against "
-                 "--arch's operating points) and export the "
-                 "unified samples (the merge step after sharded or "
-                 "--serve runs); exits 3 when the cache dir is "
-                 "missing, 4 when it has no manifest, 5 when jobs "
-                 "are unfinished");
+                 "cached result that is that job (checked at the "
+                 "operating points of the clock and V/f curve the "
+                 "manifest records; --arch's only for a manifest "
+                 "without that line) and export the unified samples "
+                 "(the merge step after sharded or --serve runs); "
+                 "exits 3 when the cache dir is missing, 4 when it "
+                 "has no manifest, 5 when jobs are unfinished");
     args.addOption("csv", "", "export samples as CSV to this path");
     args.addOption("json", "",
                    "export samples as JSON to this path");
