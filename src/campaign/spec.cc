@@ -91,6 +91,9 @@ parseConfigList(const std::string &s, const std::string &context)
     return out;
 }
 
+namespace
+{
+
 std::vector<double>
 parseFreqList(const std::string &s, const std::string &context)
 {
@@ -170,6 +173,86 @@ parseBenchCategory(const std::string &s, const std::string &context)
               context));
 }
 
+} // namespace
+
+void
+applySpecSetting(CampaignSpec &spec, const std::string &key,
+                 const std::string &value, const std::string &context)
+{
+    auto integer = [&]() { return parseInt(value, context); };
+    auto flag = [&]() { return integer() != 0; };
+    if (key == "categories") {
+        spec.suiteEnabled = false;
+        spec.categories.clear();
+        for (const auto &c : split(value, ',')) {
+            std::string t = toLower(trim(c));
+            if (t == "none")
+                continue;
+            spec.suiteEnabled = true;
+            if (t == "all") {
+                spec.categories.clear();
+                break;
+            }
+            spec.categories.push_back(parseBenchCategory(t, context));
+        }
+    } else if (key == "spec_proxies") {
+        spec.specProxies = flag();
+    } else if (key == "daxpy") {
+        spec.daxpy = flag();
+    } else if (key == "extremes") {
+        spec.extremes = flag();
+    } else if (key == "configs") {
+        spec.configs = parseConfigList(value, context);
+    } else if (key == "freqs") {
+        spec.freqs = parseFreqList(value, context);
+    } else if (key == "vdds") {
+        spec.vdds = parseVddList(value, context);
+    } else if (key == "threads") {
+        spec.threads = static_cast<int>(integer());
+        if (spec.threads < 0)
+            fatal(cat("threads must be >= 0 (0 = auto) in ", context));
+    } else if (key == "cache_dir") {
+        spec.cacheDir = value;
+    } else if (key == "salt") {
+        spec.salt = static_cast<uint64_t>(integer());
+    } else if (key == "bootstrap") {
+        spec.bootstrap = flag();
+    } else if (key == "shard") {
+        parseShard(value, context, spec.shardIndex, spec.shardCount);
+    } else if (key == "progress_seconds") {
+        spec.progressSeconds = parseDouble(value, context);
+        if (spec.progressSeconds < 0)
+            fatal(cat("progress_seconds must be >= 0 (0 = disabled) in ",
+                      context));
+    } else if (key == "serve") {
+        spec.serve = flag();
+    } else if (key == "claim_ttl_seconds") {
+        spec.claimTtlSeconds = parseDouble(value, context);
+        if (spec.claimTtlSeconds <= 0)
+            fatal(cat("claim_ttl_seconds must be > 0 in ", context));
+    } else if (key == "seed") {
+        spec.suite.seed = static_cast<uint64_t>(integer());
+    } else if (key == "body_size") {
+        spec.suite.bodySize = static_cast<size_t>(integer());
+    } else if (key == "per_memory_group") {
+        spec.suite.perMemoryGroup = static_cast<int>(integer());
+    } else if (key == "memory_count") {
+        spec.suite.memoryCount = static_cast<int>(integer());
+    } else if (key == "random_count") {
+        spec.suite.randomCount = static_cast<int>(integer());
+    } else if (key == "ipc_search_budget") {
+        spec.suite.ipcSearchBudget = static_cast<int>(integer());
+    } else if (key == "ga_population") {
+        spec.suite.gaPopulation = static_cast<int>(integer());
+    } else if (key == "ga_generations") {
+        spec.suite.gaGenerations = static_cast<int>(integer());
+    } else if (key == "extend_unit_mix") {
+        spec.suite.extendUnitMix = flag();
+    } else {
+        fatal(cat("unknown campaign key '", key, "' in ", context));
+    }
+}
+
 CampaignSpec
 parseCampaignSpecText(const std::string &text,
                       const std::string &origin)
@@ -178,7 +261,6 @@ parseCampaignSpecText(const std::string &text,
     std::istringstream in(text);
     std::string line;
     int lineno = 0;
-    bool saw_source = false;
 
     while (std::getline(in, line)) {
         ++lineno;
@@ -192,103 +274,14 @@ parseCampaignSpecText(const std::string &text,
         if (eq == std::string::npos || eq == 0)
             fatal(cat("expected 'key = value', got '", s, "' in ",
                       context));
-        std::string key = toLower(trim(s.substr(0, eq)));
-        std::string val = trim(s.substr(eq + 1));
-
-        if (key == "categories") {
-            saw_source = true;
-            spec.suiteEnabled = false;
-            spec.categories.clear();
-            for (const auto &c : split(val, ',')) {
-                std::string t = toLower(trim(c));
-                if (t == "none")
-                    continue;
-                spec.suiteEnabled = true;
-                if (t == "all") {
-                    spec.categories.clear();
-                    break;
-                }
-                spec.categories.push_back(
-                    parseBenchCategory(t, context));
-            }
-        } else if (key == "spec_proxies") {
-            saw_source = true;
-            spec.specProxies = parseInt(val, context) != 0;
-        } else if (key == "daxpy") {
-            saw_source = true;
-            spec.daxpy = parseInt(val, context) != 0;
-        } else if (key == "extremes") {
-            saw_source = true;
-            spec.extremes = parseInt(val, context) != 0;
-        } else if (key == "configs") {
-            spec.configs = parseConfigList(val, context);
-        } else if (key == "freqs") {
-            spec.freqs = parseFreqList(val, context);
-        } else if (key == "vdds") {
-            spec.vdds = parseVddList(val, context);
-        } else if (key == "threads") {
-            spec.threads =
-                static_cast<int>(parseInt(val, context));
-            if (spec.threads < 0)
-                fatal(cat("threads must be >= 0 (0 = auto) in ",
-                          context));
-        } else if (key == "cache_dir") {
-            spec.cacheDir = val;
-        } else if (key == "salt") {
-            spec.salt =
-                static_cast<uint64_t>(parseInt(val, context));
-        } else if (key == "bootstrap") {
-            spec.bootstrap = parseInt(val, context) != 0;
-        } else if (key == "shard") {
-            parseShard(val, context, spec.shardIndex,
-                       spec.shardCount);
-        } else if (key == "progress_seconds") {
-            spec.progressSeconds = parseDouble(val, context);
-            if (spec.progressSeconds < 0)
-                fatal(cat("progress_seconds must be >= 0 "
-                          "(0 = disabled) in ",
-                          context));
-        } else if (key == "serve") {
-            spec.serve = parseInt(val, context) != 0;
-        } else if (key == "claim_ttl_seconds") {
-            spec.claimTtlSeconds = parseDouble(val, context);
-            if (spec.claimTtlSeconds <= 0)
-                fatal(cat("claim_ttl_seconds must be > 0 in ",
-                          context));
-        } else if (key == "seed") {
-            spec.suite.seed =
-                static_cast<uint64_t>(parseInt(val, context));
-        } else if (key == "body_size") {
-            spec.suite.bodySize =
-                static_cast<size_t>(parseInt(val, context));
-        } else if (key == "per_memory_group") {
-            spec.suite.perMemoryGroup =
-                static_cast<int>(parseInt(val, context));
-        } else if (key == "memory_count") {
-            spec.suite.memoryCount =
-                static_cast<int>(parseInt(val, context));
-        } else if (key == "random_count") {
-            spec.suite.randomCount =
-                static_cast<int>(parseInt(val, context));
-        } else if (key == "ipc_search_budget") {
-            spec.suite.ipcSearchBudget =
-                static_cast<int>(parseInt(val, context));
-        } else if (key == "ga_population") {
-            spec.suite.gaPopulation =
-                static_cast<int>(parseInt(val, context));
-        } else if (key == "ga_generations") {
-            spec.suite.gaGenerations =
-                static_cast<int>(parseInt(val, context));
-        } else if (key == "extend_unit_mix") {
-            spec.suite.extendUnitMix = parseInt(val, context) != 0;
-        } else {
-            fatal(cat("unknown campaign key '", key, "' in ",
-                      context));
-        }
+        applySpecSetting(spec, toLower(trim(s.substr(0, eq))),
+                         trim(s.substr(eq + 1)), context);
     }
 
-    if (saw_source && !spec.suiteEnabled && !spec.specProxies &&
-        !spec.daxpy && !spec.extremes)
+    // Only a `categories` line can clear suiteEnabled, so this fires
+    // exactly when the spec's source keys select nothing.
+    if (!spec.suiteEnabled && !spec.specProxies && !spec.daxpy &&
+        !spec.extremes)
         fatal(cat(origin, ": campaign spec selects no workloads"));
 
     // spec.categories reaches the suite generator via the Campaign

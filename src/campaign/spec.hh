@@ -183,6 +183,17 @@ struct CampaignSpec
 };
 
 /**
+ * Apply one `key = value` setting of the file format above to
+ * @p spec. parseCampaignSpecText calls it for each line and
+ * mprobe_campaign for each override flag, so a flag accepts exactly
+ * its key's values. @p key is lower case. Unknown keys and bad
+ * values are fatal() with @p context (a file:line, or the flag).
+ */
+void applySpecSetting(CampaignSpec &spec, const std::string &key,
+                      const std::string &value,
+                      const std::string &context);
+
+/**
  * Parse a spec from the file format above. Unknown keys, bad
  * values and malformed configs are fatal() with file:line context.
  */
@@ -195,34 +206,6 @@ CampaignSpec loadCampaignSpec(const std::string &path);
 /** Parse "all" or a comma-separated "cores-smt" list. */
 std::vector<ChipConfig> parseConfigList(const std::string &s,
                                         const std::string &context);
-
-/**
- * Parse a comma-separated GHz list ("2.0,2.5,3.0,3.5") as accepted
- * by the `freqs` spec key and `mprobe_campaign --freqs`. Duplicate
- * or non-positive frequencies are fatal() with @p context.
- */
-std::vector<double> parseFreqList(const std::string &s,
-                                  const std::string &context);
-
-/**
- * Parse a comma-separated volt list ("0.85,0.9,0.95,1.0") as
- * accepted by the `vdds` spec key and `mprobe_campaign --vdds`.
- * Duplicate or non-positive voltages are fatal() with @p context.
- */
-std::vector<double> parseVddList(const std::string &s,
-                                 const std::string &context);
-
-/**
- * Parse a shard selector "i/n" (0 <= i < n, n >= 1) as accepted by
- * the `shard` spec key and `mprobe_campaign --shard`. fatal() with
- * @p context on malformed input.
- */
-void parseShard(const std::string &s, const std::string &context,
-                int &index, int &count);
-
-/** Parse a category name as used in spec files (e.g. "memory"). */
-BenchCategory parseBenchCategory(const std::string &s,
-                                 const std::string &context);
 
 } // namespace mprobe
 

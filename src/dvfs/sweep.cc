@@ -153,7 +153,8 @@ CrossFreqReport
 crossFrequencyError(const std::vector<Sample> &samples,
                     double train_freq)
 {
-    // Placeholder samples would train the models on zeros.
+    // A hand-built or idle sample with no instruction rate would
+    // train the models on zeros.
     std::vector<Sample> live;
     std::vector<double> freqs;
     for (const auto &s : samples) {

@@ -79,11 +79,12 @@ struct SweepAnalysis
 /**
  * Group samples by (workload, configuration), order each group's
  * points by frequency and select the energy-optimal operating point
- * under EPI, EDP and ED^2P. Placeholder samples (no instruction
- * rate, e.g. off-shard slots of a sharded bench run) and unreliable
- * samples (below-Vmin undervolted points) are skipped. fatal() when
- * the remaining samples span fewer than two distinct frequencies:
- * a single-point "sweep" would report that point as every optimum.
+ * under EPI, EDP and ED^2P. Samples with no instruction rate (a
+ * hand-built or idle sample; its zero EPI would win every optimum)
+ * and unreliable samples (below-Vmin undervolted points) are
+ * skipped. fatal() when the remaining samples span fewer than two
+ * distinct frequencies: a single-point "sweep" would report that
+ * point as every optimum.
  */
 SweepAnalysis analyzeSweep(const std::vector<Sample> &samples);
 

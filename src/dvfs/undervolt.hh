@@ -51,9 +51,9 @@ struct UndervoltMargin
 /**
  * Group samples by (workload, config, frequency) in
  * first-appearance order and report each group's discovered
- * undervolt margin. Placeholder samples (no instruction rate) are
- * skipped; a series whose every point is unreliable is dropped —
- * it probed no safe voltage at all.
+ * undervolt margin. Samples with no instruction rate (a hand-built
+ * or idle sample) are skipped; a series whose every point is
+ * unreliable is dropped — it probed no safe voltage at all.
  */
 std::vector<UndervoltMargin>
 findUndervoltMargin(const std::vector<Sample> &samples);

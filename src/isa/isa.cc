@@ -243,6 +243,32 @@ Isa::fpVectorOps() const
     return select([](const InstrDef &d) { return d.isFpVector(); });
 }
 
+std::vector<Isa::OpIndex>
+Isa::candidates(const std::string &set, const std::string &context) const
+{
+    if (set == "loads")
+        return loads();
+    if (set == "stores")
+        return stores();
+    if (set == "memory")
+        return memoryOps();
+    if (set == "integer")
+        return integerOps();
+    if (set == "fpvector")
+        return fpVectorOps();
+    if (set == "all")
+        return select([](const InstrDef &d) {
+            return !d.privileged && !d.isBranch();
+        });
+    std::vector<OpIndex> out;
+    for (const auto &name : split(set, ',')) {
+        out.push_back(find(trim(name)));
+        if (out.back() < 0)
+            fatal(cat("unknown instruction in ", context, " '", set, "'"));
+    }
+    return out;
+}
+
 std::string
 Isa::toText() const
 {

@@ -92,6 +92,16 @@ class Isa
     std::vector<OpIndex> fpVectorOps() const;
     /**@}*/
 
+    /**
+     * A candidate set by name, as mprobe_gen's and mprobe_run's
+     * `--class` take it: loads, stores, memory, integer, fpvector,
+     * all (every instruction but privileged ones and branches), or
+     * else a comma-separated mnemonic list. An unknown mnemonic is
+     * fatal() with @p context.
+     */
+    std::vector<OpIndex> candidates(const std::string &set,
+                                    const std::string &context) const;
+
     /** Render the ISA back to definition-file text. */
     std::string toText() const;
 

@@ -26,6 +26,12 @@ Architecture::get(const std::string &name)
               "'; available: POWER7, POWER7+"));
 }
 
+Machine
+Architecture::machine() const
+{
+    return Machine(*isaPtr, uarchDef.cacheGeometries(), uarchDef.clockGhz());
+}
+
 std::vector<Isa::OpIndex>
 Architecture::stressing(const std::vector<Isa::OpIndex> &candidates,
                         const std::string &unit) const

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "isa/isa.hh"
+#include "sim/machine.hh"
 #include "uarch/uarch.hh"
 
 namespace mprobe
@@ -42,6 +43,13 @@ class Architecture
     const Isa &isa() const { return *isaPtr; }
     const UarchDef &uarch() const { return uarchDef; }
     UarchDef &uarchMut() { return uarchDef; }
+
+    /**
+     * The measurement machine of this architecture: its ISA, cache
+     * geometries and nominal clock. Every tool, the campaign service
+     * and the golden tests measure on it.
+     */
+    Machine machine() const;
 
     /**
      * Filter @p candidates down to the instructions whose

@@ -10,6 +10,7 @@
 
 #include "microprobe/arch.hh"
 #include "util/logging.hh"
+#include "util/str.hh"
 
 namespace mprobe
 {
@@ -331,6 +332,26 @@ DependencyDistancePass
 DependencyDistancePass::random(int l, int h)
 {
     return DependencyDistancePass(l, h);
+}
+
+DependencyDistancePass
+DependencyDistancePass::parse(const std::string &spec,
+                              const std::string &context)
+{
+    auto parts = split(spec, ':');
+    auto arg = [&](size_t i) {
+        return static_cast<int>(parseInt(parts[i], context));
+    };
+    if (spec == "none")
+        return none();
+    if (spec == "chain")
+        return chain();
+    if (parts.size() == 2 && parts[0] == "fixed")
+        return fixed(arg(1));
+    if (parts.size() == 3 && parts[0] == "random")
+        return DependencyDistancePass::random(arg(1), arg(2));
+    fatal(cat("bad ", context, " spec '", spec,
+              "' (none|chain|fixed:N|random:LO:HI)"));
 }
 
 std::string

@@ -158,6 +158,13 @@ class DependencyDistancePass : public Pass
     static DependencyDistancePass fixed(int d);
     /** Uniformly random distance in [lo, hi] ("randomly", Fig. 2). */
     static DependencyDistancePass random(int lo, int hi);
+    /**
+     * One of the four above by name, as mprobe_gen's and mprobe_run's
+     * `--dep` take it: none, chain, fixed:N or random:LO:HI. Any
+     * other form is fatal() with @p context.
+     */
+    static DependencyDistancePass parse(const std::string &spec,
+                                        const std::string &context);
 
     std::string name() const override;
     void apply(Program &prog, const Architecture &arch,

@@ -26,9 +26,7 @@ CampaignService::ActiveCampaign::ActiveCampaign(std::string name_,
                                                 CampaignSpec spec_,
                                                 Architecture arch_)
     : name(std::move(name_)), spec(std::move(spec_)),
-      arch(std::move(arch_)),
-      machine(arch.isa(), arch.uarch().cacheGeometries(),
-              arch.uarch().clockGhz())
+      arch(std::move(arch_)), machine(arch.machine())
 {
 }
 
@@ -43,8 +41,8 @@ CampaignService::CampaignService(ServiceOptions o)
               "are all required (specs arrive in the first, the "
               "fleet's pool lives in the second, per-campaign "
               "results stream into the third)");
-    if (opts.pollSeconds <= 0.0 || opts.statusSeconds <= 0.0)
-        fatal("service: poll/status periods must be > 0 seconds");
+    if (opts.pollSeconds <= 0.0)
+        fatal("service: the poll period must be > 0 seconds");
     std::error_code ec;
     fs::create_directories(opts.dropDir, ec);
     if (ec)
@@ -335,8 +333,8 @@ CampaignService::statuses() const
     std::vector<ServiceCampaignStatus> out;
     out.reserve(campaigns.size());
     for (const auto &cp : campaigns)
-        out.push_back({cp->name, cp->jobs.size(), cp->doneCount, 0,
-                       cp->complete});
+        out.push_back(
+            {cp->name, cp->jobs.size(), cp->doneCount, cp->complete});
     return out;
 }
 

@@ -24,7 +24,7 @@
  *     processes (and plain `mprobe_campaign --serve` workers on
  *     the same spec) cooperate, steal from dead peers, and never
  *     duplicate results;
- *   - results stream incrementally: every status period each
+ *   - results stream incrementally: every poll pass each
  *     active campaign gets a fresh `status.json` plus partial
  *     CSV/JSON exports of the samples measured so far, and on
  *     completion the final `samples.csv`/`samples.json` — byte
@@ -64,11 +64,10 @@ struct ServiceOptions
     /** Worker threads draining the pool (0 = one per hardware
      * thread). */
     int threads = 0;
-    /** Seconds between drop-directory scans, and a worker's sleep
+    /** Seconds between drop-directory scans (each also refreshes
+     * status.json and the partial exports), and a worker's sleep
      * when live peers hold every remaining job. */
     double pollSeconds = 1.0;
-    /** Seconds between status.json/partial-export refreshes. */
-    double statusSeconds = 5.0;
     /** Stale-claim TTL (campaign/claims.hh semantics). */
     double claimTtlSeconds = kDefaultClaimTtlSeconds;
     /** Claim-file worker identity; empty = "host:pid". */
@@ -89,8 +88,6 @@ struct ServiceCampaignStatus
     std::string name;
     size_t totalJobs = 0;
     size_t doneJobs = 0;
-    /** Undone jobs currently claimed (by any worker process). */
-    size_t claimedJobs = 0;
     bool complete = false;
 };
 

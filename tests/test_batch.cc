@@ -551,8 +551,7 @@ batchSpec()
 TEST(CampaignBatch, UnbatchedColdThenBatchedWarmHitsCache)
 {
     Architecture arch = Architecture::get("POWER7");
-    Machine m(arch.isa(), arch.uarch().cacheGeometries(),
-              arch.uarch().clockGhz());
+    Machine m = arch.machine();
     CampaignSpec spec = batchSpec();
     spec.cacheDir = freshCacheDir("xpath");
     spec.freqs = {2.0, 3.0};

@@ -255,6 +255,79 @@ TEST(CampaignSpecDeath, BadConfigFatal)
         testing::ExitedWithCode(1), "bad config");
 }
 
+namespace
+{
+
+/** The fields mprobe_campaign's override flags set, as text. */
+std::string
+overridable(const CampaignSpec &s)
+{
+    std::ostringstream os;
+    for (const ChipConfig &c : s.configs)
+        os << c.label() << ",";
+    os << " freqs";
+    for (double f : s.freqs)
+        os << " " << f;
+    os << " vdds";
+    for (double v : s.vdds)
+        os << " " << v;
+    os << " threads " << s.threads << " cache " << s.cacheDir
+       << " salt " << s.salt << " shard " << s.shardIndex << "/"
+       << s.shardCount << " ttl " << s.claimTtlSeconds
+       << " progress " << s.progressSeconds << " serve " << s.serve;
+    return os.str();
+}
+
+} // namespace
+
+TEST(CampaignSpec, OverrideSettingMatchesSpecLine)
+{
+    // Each key mprobe_campaign overrides, with a non-default value.
+    const std::pair<const char *, const char *> settings[] = {
+        {"configs", "1-1,8-4"},
+        {"freqs", "2.0,3.5"},
+        {"vdds", "0.9,1.0"},
+        {"threads", "3"},
+        {"cache_dir", "/scratch/run=3/cache"},
+        {"salt", "42"},
+        {"shard", "1/3"},
+        {"claim_ttl_seconds", "7.5"},
+        {"progress_seconds", "0"},
+        {"serve", "1"},
+    };
+    for (const auto &[key, value] : settings) {
+        CampaignSpec flag;
+        applySpecSetting(flag, key, value, "--flag");
+        CampaignSpec line =
+            parseCampaignSpecText(cat(key, " = ", value, "\n"), "<test>");
+        EXPECT_EQ(overridable(flag), overridable(line)) << key;
+        EXPECT_NE(overridable(flag), overridable(CampaignSpec())) << key;
+    }
+}
+
+TEST(CampaignSpecDeath, OverrideSettingNamesTheFlag)
+{
+    // key, bad value, flag, expected message.
+    const char *const bad[][4] = {
+        {"configs", "4x2", "--configs", "bad config '4x2' .* in --configs"},
+        {"freqs", "2.0,2.0", "--freqs", "duplicate frequency 2.0 in --freqs"},
+        {"vdds", "0", "--vdds", "voltage must be > 0 V, got '0' in --vdds"},
+        {"threads", "-1", "--threads", "threads must be >= 0 .* in --threads"},
+        {"salt", "x", "--salt", "expected integer, got 'x' in --salt"},
+        {"shard", "2/2", "--shard", "out of range .* in --shard"},
+        {"claim_ttl_seconds", "0", "--claim-ttl",
+         "claim_ttl_seconds must be > 0 in --claim-ttl"},
+        {"progress_seconds", "-1", "--progress-seconds",
+         "progress_seconds must be >= 0 .* in --progress-seconds"},
+    };
+    for (const auto &b : bad) {
+        CampaignSpec spec;
+        EXPECT_EXIT(applySpecSetting(spec, b[0], b[1], b[2]),
+                    testing::ExitedWithCode(1), b[3])
+            << b[0];
+    }
+}
+
 // ---------------------------------------------------------------
 // Job keys
 
@@ -1952,8 +2025,7 @@ TEST(CampaignShard, Power7PlusMergesWithoutArch)
     // (what --merge builds without --arch) checks every entry at
     // the campaign's own points and assembles the unsharded export.
     Architecture plus = Architecture::get("POWER7+");
-    Machine machine(plus.isa(), plus.uarch().cacheGeometries(),
-                    plus.uarch().clockGhz());
+    Machine machine = plus.machine();
     ASSERT_NE(machine.clockGhz(), kNominalFreqGhz);
 
     CampaignSpec ref_spec = tinySpec();

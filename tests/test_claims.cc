@@ -320,8 +320,7 @@ csvOf(const std::vector<Sample> &samples)
 TEST(ServeCampaign, MatchesPlainRunByteForByte)
 {
     Architecture arch = Architecture::get("POWER7");
-    Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
-                    arch.uarch().clockGhz());
+    Machine machine = arch.machine();
 
     CampaignSpec plain = tinySpec();
     plain.cacheDir = freshDir("serve-plain");
@@ -344,8 +343,7 @@ TEST(ServeCampaign, MatchesPlainRunByteForByte)
 TEST(ServeCampaign, StealsPlantedStaleClaimAndCompletes)
 {
     Architecture arch = Architecture::get("POWER7");
-    Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
-                    arch.uarch().clockGhz());
+    Machine machine = arch.machine();
 
     CampaignSpec plain = tinySpec();
     plain.cacheDir = freshDir("steal-plain");

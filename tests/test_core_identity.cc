@@ -95,8 +95,7 @@ countMismatches(const CoreResult &got, const CoreResult &want)
 struct Corpus
 {
     Architecture arch = Architecture::get("POWER7");
-    Machine machine{arch.isa(), arch.uarch().cacheGeometries(),
-                    arch.uarch().clockGhz()};
+    Machine machine = arch.machine();
     std::vector<Program> programs;
 
     Corpus()

@@ -380,6 +380,21 @@ TEST(Portability, P7PlusDefinitionLoads)
               8u * 1024 * 1024);
 }
 
+TEST(Portability, P7PlusMachineFollowsItsDefinition)
+{
+    // The one machine every tool and the service build for --arch:
+    // the definition's clock and cache geometries, so POWER7+ is a
+    // different machine (and a different cache-key fingerprint).
+    Machine plus = Architecture::get("POWER7+").machine();
+    Machine p7 = Architecture::get("POWER7").machine();
+    EXPECT_DOUBLE_EQ(plus.clockGhz(), 3.6);
+    ASSERT_EQ(plus.simOptions().cacheGeoms.size(), 3u);
+    EXPECT_EQ(plus.simOptions().cacheGeoms[2].sizeBytes,
+              8u * 1024 * 1024);
+    EXPECT_DOUBLE_EQ(p7.clockGhz(), 3.0);
+    EXPECT_NE(plus.fingerprint(), p7.fingerprint());
+}
+
 TEST(Portability, SameScriptRetargetsToP7Plus)
 {
     // The paper's portability claim: the very same generation
@@ -387,8 +402,7 @@ TEST(Portability, SameScriptRetargetsToP7Plus)
     // analytical cache model still guarantees the distribution on
     // the retargeted machine.
     Architecture plus = Architecture::get("POWER7+");
-    Machine machine(plus.isa(), plus.uarch().cacheGeometries(),
-                    plus.uarch().clockGhz());
+    Machine machine = plus.machine();
 
     Synthesizer synth(plus, 21);
     synth.addPass<SkeletonPass>(1024);
@@ -411,8 +425,7 @@ TEST(Portability, SameScriptRetargetsToP7Plus)
 TEST(Portability, BootstrapWorksOnP7Plus)
 {
     Architecture plus = Architecture::get("POWER7+");
-    Machine machine(plus.isa(), plus.uarch().cacheGeometries(),
-                    plus.uarch().clockGhz());
+    Machine machine = plus.machine();
     BootstrapOptions bo;
     bo.bodySize = 512;
     auto e = bootstrapInstruction(plus, machine,
@@ -430,8 +443,7 @@ TEST(Portability, P7PlusLargerL3KeepsBiggerFootprintsResident)
     Architecture p7 = Architecture::get("POWER7");
     Architecture plus = Architecture::get("POWER7+");
     Machine m7(p7.isa());
-    Machine mp(plus.isa(), plus.uarch().cacheGeometries(),
-               plus.uarch().clockGhz());
+    Machine mp = plus.machine();
 
     // A 6 MB span of lines accessed round-robin (one line per
     // 2 KB), prefetcher off for a clean capacity experiment; the

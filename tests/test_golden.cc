@@ -1,7 +1,7 @@
 /**
  * @file
  * Golden-output tests: the job keys, cached samples and export rows
- * of three small campaigns, pinned to fixtures committed under
+ * of four small campaigns, pinned to fixtures committed under
  * tests/golden/ and checked on every execution path.
  *
  * The campaign engine's behaviour contract is byte-identical exports
@@ -12,7 +12,9 @@
  *
  *   flat   memory + random on all 24 configurations;
  *   freqs  the same corpus on 1-1 and 8-4 x three freqs;
- *   sweep  the same corpus on 1-1 and 8-4 x three freqs x three vdds.
+ *   sweep  the same corpus on 1-1 and 8-4 x three freqs x three vdds;
+ *   table2 the whole bootstrapped Table-2 suite, small, on 1-1, 2-2
+ *          and 8-4.
  *
  * The conformance matrix runs every spec on every path and compares
  * each with the spec's fixture:
@@ -120,7 +122,7 @@ struct PinnedSpec
     std::string text;
 };
 
-/** The corpus every spec measures: small memory + random sets. */
+/** The corpus of the first three specs: small memory + random sets. */
 const char *const kCorpus = "categories = memory, random\n"
                             "random_count = 4\n"
                             "per_memory_group = 1\n"
@@ -138,6 +140,18 @@ const PinnedSpec kSpecs[] = {
     {"sweep", std::string(kCorpus) + "configs = 1-1,8-4\n"
                                      "freqs = 2.0,3.0,3.5\n"
                                      "vdds = 0.70,0.92,1.0\n"},
+    // The whole Table-2 suite, bootstrapped, with small counts and
+    // search budgets.
+    {"table2", "configs = 1-1,2-2,8-4\n"
+               "random_count = 2\n"
+               "per_memory_group = 1\n"
+               "memory_count = 1\n"
+               "body_size = 128\n"
+               "bootstrap = 1\n"
+               "ipc_search_budget = 2\n"
+               "ga_population = 4\n"
+               "ga_generations = 1\n"
+               "progress_seconds = 0\n"},
 };
 
 /** Split CSV text into rows and their digests. */
@@ -283,9 +297,7 @@ expectFixture(const Golden &want, const Golden &got, const std::string &label)
 struct Env
 {
     Architecture arch = Architecture::get("POWER7");
-    // Built exactly as mprobe_campaign builds its machine.
-    Machine machine{arch.isa(), arch.uarch().cacheGeometries(),
-                    arch.uarch().clockGhz()};
+    Machine machine = arch.machine();
 
     Env() { setLogLevel(LogLevel::Quiet); }
 };
@@ -338,7 +350,6 @@ runService(const PinnedSpec &ps)
     opts.resultsDir = freshDir(cat(ps.name, "-results"));
     opts.threads = 2;
     opts.pollSeconds = 0.02;
-    opts.statusSeconds = 0.02;
     opts.exitWhenIdle = true;
     fs::create_directories(opts.dropDir);
     {

@@ -218,3 +218,44 @@ TEST(Isa, AddRejectsDuplicates)
     isa.add(d);
     EXPECT_EXIT(isa.add(d), testing::ExitedWithCode(1), "duplicate");
 }
+
+TEST(IsaCandidates, NamedSetsAreThePreCannedQueries)
+{
+    const Isa &isa = builtinP7Isa();
+    EXPECT_EQ(isa.candidates("loads", "--class"), isa.loads());
+    EXPECT_EQ(isa.candidates("stores", "--class"), isa.stores());
+    EXPECT_EQ(isa.candidates("memory", "--class"), isa.memoryOps());
+    EXPECT_EQ(isa.candidates("integer", "--class"), isa.integerOps());
+    EXPECT_EQ(isa.candidates("fpvector", "--class"), isa.fpVectorOps());
+}
+
+TEST(IsaCandidates, AllExcludesPrivilegedAndBranches)
+{
+    const Isa &isa = builtinP7Isa();
+    auto all = isa.candidates("all", "--class");
+    std::set<Isa::OpIndex> in(all.begin(), all.end());
+    ASSERT_FALSE(isa.branches().empty());
+    for (size_t i = 0; i < isa.size(); ++i) {
+        auto op = static_cast<Isa::OpIndex>(i);
+        const InstrDef &d = isa.at(op);
+        EXPECT_EQ(in.count(op) == 1, !d.privileged && !d.isBranch())
+            << d.name;
+    }
+    EXPECT_EQ(in.count(isa.find("mtmsr")), 0u);
+    EXPECT_EQ(in.count(isa.find("add")), 1u);
+}
+
+TEST(IsaCandidates, MnemonicList)
+{
+    const Isa &isa = builtinP7Isa();
+    std::vector<Isa::OpIndex> want = {isa.find("add"), isa.find("mulld"),
+                                      isa.find("add")};
+    EXPECT_EQ(isa.candidates("add, mulld,add", "--class"), want);
+}
+
+TEST(IsaCandidatesDeath, UnknownMnemonicFatal)
+{
+    EXPECT_EXIT(builtinP7Isa().candidates("add,nosuch", "--class"),
+                testing::ExitedWithCode(1),
+                "unknown instruction in --class 'add,nosuch'");
+}

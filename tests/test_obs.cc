@@ -641,7 +641,6 @@ TEST(TracedCampaign, EveryPathEmitsOneJobSpanPerExecutedJob)
     opts.resultsDir = freshCacheDir("parity-results");
     opts.threads = 2;
     opts.pollSeconds = 0.02;
-    opts.statusSeconds = 0.02;
     opts.exitWhenIdle = true;
     std::filesystem::create_directories(opts.dropDir);
     {

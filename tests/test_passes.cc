@@ -10,6 +10,7 @@
 
 #include "microprobe/arch.hh"
 #include "microprobe/passes.hh"
+#include "util/logging.hh"
 
 using namespace mprobe;
 
@@ -347,4 +348,25 @@ TEST(ArchDeath, UnknownArchitectureFatal)
 {
     EXPECT_EXIT(Architecture::get("Alpha21264"),
                 testing::ExitedWithCode(1), "unknown architecture");
+}
+
+TEST(DependencyDistancePass, ParsesItsFourForms)
+{
+    auto name = [](const char *spec) {
+        return DependencyDistancePass::parse(spec, "--dep").name();
+    };
+    EXPECT_EQ(name("none"), DependencyDistancePass::none().name());
+    EXPECT_EQ(name("chain"), DependencyDistancePass::chain().name());
+    EXPECT_EQ(name("fixed:7"), DependencyDistancePass::fixed(7).name());
+    EXPECT_EQ(name("random:2:9"),
+              DependencyDistancePass::random(2, 9).name());
+}
+
+TEST(DependencyDistancePassDeath, ParseRejectsOtherForms)
+{
+    for (const char *bad : {"chian", "fixed", "random:1", "none:3"})
+        EXPECT_EXIT(DependencyDistancePass::parse(bad, "--dep"),
+                    testing::ExitedWithCode(1),
+                    cat("bad --dep spec '", bad, "'"))
+            << bad;
 }

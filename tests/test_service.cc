@@ -76,7 +76,6 @@ testOptions(const std::string &tag)
     opts.resultsDir = freshDir(tag + "-results");
     opts.threads = 2;
     opts.pollSeconds = 0.05;
-    opts.statusSeconds = 0.05;
     opts.exitWhenIdle = true;
     return opts;
 }
@@ -91,8 +90,7 @@ referenceCsv(const std::string &spec_text, const std::string &tag)
     CampaignSpec spec = loadCampaignSpec(path);
     spec.cacheDir = dir + "/cache";
     Architecture arch = Architecture::get("POWER7");
-    Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
-                    arch.uarch().clockGhz());
+    Machine machine = arch.machine();
     Campaign campaign(machine, spec);
     CampaignResult res = campaign.run(arch);
     std::ostringstream os;

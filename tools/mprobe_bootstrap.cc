@@ -40,9 +40,7 @@ main(int argc, char **argv)
         setLogLevel(LogLevel::Quiet);
 
     Architecture arch = Architecture::get(args.get("arch"));
-    Machine machine(arch.isa(),
-                    arch.uarch().cacheGeometries(),
-                    arch.uarch().clockGhz());
+    Machine machine = arch.machine();
 
     BootstrapOptions bo;
     bo.bodySize = static_cast<size_t>(args.getInt("size"));

@@ -557,31 +557,24 @@ main(int argc, char **argv)
     CampaignSpec spec;
     if (!args.get("spec").empty())
         spec = loadCampaignSpec(args.get("spec"));
-    if (!args.get("configs").empty())
-        spec.configs =
-            parseConfigList(args.get("configs"), "--configs");
-    if (!args.get("freqs").empty())
-        spec.freqs = parseFreqList(args.get("freqs"), "--freqs");
-    if (!args.get("vdds").empty())
-        spec.vdds = parseVddList(args.get("vdds"), "--vdds");
-    if (!args.get("threads").empty())
-        spec.threads = static_cast<int>(args.getInt("threads"));
-    if (!args.get("cache-dir").empty())
-        spec.cacheDir = args.get("cache-dir");
-    if (!args.get("salt").empty())
-        spec.salt = static_cast<uint64_t>(
-            parseInt(args.get("salt"), "--salt"));
-    if (!args.get("shard").empty())
-        parseShard(args.get("shard"), "--shard", spec.shardIndex,
-                   spec.shardCount);
+    // Each override flag is parsed as its spec key, so it takes
+    // exactly the values a spec-file line would.
+    const std::pair<const char *, const char *> overrides[] = {
+        {"configs", "configs"},
+        {"freqs", "freqs"},
+        {"vdds", "vdds"},
+        {"threads", "threads"},
+        {"cache-dir", "cache_dir"},
+        {"salt", "salt"},
+        {"shard", "shard"},
+        {"claim-ttl", "claim_ttl_seconds"},
+        {"progress-seconds", "progress_seconds"},
+    };
+    for (const auto &[flag, key] : overrides)
+        if (!args.get(flag).empty())
+            applySpecSetting(spec, key, args.get(flag), cat("--", flag));
     if (args.getFlag("serve"))
-        spec.serve = true;
-    if (!args.get("claim-ttl").empty()) {
-        spec.claimTtlSeconds =
-            parseDouble(args.get("claim-ttl"), "--claim-ttl");
-        if (spec.claimTtlSeconds <= 0)
-            fatal("--claim-ttl must be > 0 seconds");
-    }
+        applySpecSetting(spec, "serve", "1", "--serve");
     if (!args.get("claim-poll").empty()) {
         spec.claimPollSeconds =
             parseDouble(args.get("claim-poll"), "--claim-poll");
@@ -592,14 +585,6 @@ main(int argc, char **argv)
         spec.workerId = args.get("worker-id");
     if (!args.get("manifest-dir").empty())
         spec.manifestDir = args.get("manifest-dir");
-    if (!args.get("progress-seconds").empty()) {
-        spec.progressSeconds =
-            parseDouble(args.get("progress-seconds"),
-                        "--progress-seconds");
-        if (spec.progressSeconds < 0)
-            fatal("--progress-seconds must be >= 0 "
-                  "(0 = disabled)");
-    }
 
     // Tracing switches on before any campaign work so generation
     // and expansion spans are captured too; the single flush
@@ -624,8 +609,7 @@ main(int argc, char **argv)
     }
 
     Architecture arch = Architecture::get(args.get("arch"));
-    Machine machine(arch.isa(), arch.uarch().cacheGeometries(),
-                    arch.uarch().clockGhz());
+    Machine machine = arch.machine();
 
     if (args.getFlag("merge")) {
         // Check the effective spec, so a `shard =` or `serve =`

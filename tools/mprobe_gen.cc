@@ -14,64 +14,11 @@
 #include "microprobe/emitter.hh"
 #include "microprobe/passes.hh"
 #include "microprobe/synthesizer.hh"
-#include "sim/machine.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
 #include "util/str.hh"
 
 using namespace mprobe;
-
-namespace
-{
-
-std::vector<Isa::OpIndex>
-candidatesFor(const Isa &isa, const std::string &cls)
-{
-    if (cls == "loads")
-        return isa.loads();
-    if (cls == "stores")
-        return isa.stores();
-    if (cls == "memory")
-        return isa.memoryOps();
-    if (cls == "integer")
-        return isa.integerOps();
-    if (cls == "fpvector")
-        return isa.fpVectorOps();
-    if (cls == "all")
-        return isa.select([](const InstrDef &d) {
-            return !d.privileged && !d.isBranch();
-        });
-    // Otherwise a comma-separated mnemonic list.
-    std::vector<Isa::OpIndex> out;
-    for (const auto &name : split(cls, ','))
-        out.push_back(isa.find(trim(name)));
-    for (auto op : out)
-        if (op < 0)
-            fatal(cat("unknown instruction in --class '", cls,
-                      "'"));
-    return out;
-}
-
-DependencyDistancePass
-depPassFor(const std::string &spec)
-{
-    auto parts = split(spec, ':');
-    if (parts[0] == "none")
-        return DependencyDistancePass::none();
-    if (parts[0] == "chain")
-        return DependencyDistancePass::chain();
-    if (parts[0] == "fixed" && parts.size() == 2)
-        return DependencyDistancePass::fixed(static_cast<int>(
-            parseInt(parts[1], "--dep")));
-    if (parts[0] == "random" && parts.size() == 3)
-        return DependencyDistancePass::random(
-            static_cast<int>(parseInt(parts[1], "--dep")),
-            static_cast<int>(parseInt(parts[2], "--dep")));
-    fatal(cat("bad --dep spec '", spec,
-              "' (none|chain|fixed:N|random:LO:HI)"));
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -103,7 +50,7 @@ main(int argc, char **argv)
         setLogLevel(LogLevel::Quiet);
 
     Architecture arch = Architecture::get(args.get("arch"));
-    auto cands = candidatesFor(arch.isa(), args.get("class"));
+    auto cands = arch.isa().candidates(args.get("class"), "--class");
 
     DataPattern pat = DataPattern::Random;
     if (args.get("data") == "zero")
@@ -131,9 +78,9 @@ main(int argc, char **argv)
     synth.addPass<RegisterInitPass>(pat);
     synth.addPass<ImmediateInitPass>(pat);
     synth.add(std::make_unique<DependencyDistancePass>(
-        depPassFor(args.get("dep"))));
+        DependencyDistancePass::parse(args.get("dep"), "--dep")));
 
-    Machine machine(arch.isa());
+    Machine machine = arch.machine();
     long count = args.getInt("count");
     for (long i = 1; i <= count; ++i) {
         Program p = synth.synthesize();

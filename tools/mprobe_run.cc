@@ -9,12 +9,11 @@
 
 #include <iostream>
 
+#include "campaign/spec.hh"
 #include "microprobe/passes.hh"
 #include "microprobe/synthesizer.hh"
-#include "sim/machine.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
-#include "util/str.hh"
 #include "util/table.hh"
 
 using namespace mprobe;
@@ -25,7 +24,8 @@ main(int argc, char **argv)
     ArgParser args;
     args.addOption("arch", "POWER7", "target architecture name");
     args.addOption("class", "integer",
-                   "candidate set (see mprobe-gen)");
+                   "candidate set: loads|stores|memory|integer|"
+                   "fpvector|all or comma-separated mnemonics");
     args.addOption("size", "4096", "loop body size");
     args.addOption("dep", "none",
                    "dependency distances: none|chain|fixed:N|"
@@ -43,71 +43,21 @@ main(int argc, char **argv)
         setLogLevel(LogLevel::Quiet);
 
     Architecture arch = Architecture::get(args.get("arch"));
-    Machine machine(arch.isa(),
-                    arch.uarch().cacheGeometries(),
-                    arch.uarch().clockGhz());
-
-    // Candidate set (subset of mprobe-gen's vocabulary).
-    std::vector<Isa::OpIndex> cands;
-    const std::string cls = args.get("class");
-    if (cls == "loads")
-        cands = arch.isa().loads();
-    else if (cls == "stores")
-        cands = arch.isa().stores();
-    else if (cls == "memory")
-        cands = arch.isa().memoryOps();
-    else if (cls == "integer")
-        cands = arch.isa().integerOps();
-    else if (cls == "fpvector")
-        cands = arch.isa().fpVectorOps();
-    else {
-        for (const auto &name : split(cls, ','))
-            cands.push_back(arch.isa().find(trim(name)));
-        for (auto op : cands)
-            if (op < 0)
-                fatal(cat("unknown instruction in --class '", cls,
-                          "'"));
-    }
+    Machine machine = arch.machine();
+    std::vector<ChipConfig> configs =
+        parseConfigList(args.get("configs"), "--configs");
 
     Synthesizer synth(arch,
                       static_cast<uint64_t>(args.getInt("seed")));
     synth.addPass<SkeletonPass>(
         static_cast<size_t>(args.getInt("size")));
-    synth.addPass<InstructionMixPass>(cands);
+    synth.addPass<InstructionMixPass>(
+        arch.isa().candidates(args.get("class"), "--class"));
     synth.addPass<MemoryModelPass>(MemDistribution{1, 0, 0, 0});
     synth.addPass<RegisterInitPass>(DataPattern::Random);
-    auto spec = split(args.get("dep"), ':');
-    if (spec[0] == "chain")
-        synth.add(std::make_unique<DependencyDistancePass>(
-            DependencyDistancePass::chain()));
-    else if (spec[0] == "fixed" && spec.size() == 2)
-        synth.add(std::make_unique<DependencyDistancePass>(
-            DependencyDistancePass::fixed(static_cast<int>(
-                parseInt(spec[1], "--dep")))));
-    else if (spec[0] == "random" && spec.size() == 3)
-        synth.add(std::make_unique<DependencyDistancePass>(
-            DependencyDistancePass::random(
-                static_cast<int>(parseInt(spec[1], "--dep")),
-                static_cast<int>(parseInt(spec[2], "--dep")))));
-    else
-        synth.add(std::make_unique<DependencyDistancePass>(
-            DependencyDistancePass::none()));
+    synth.add(std::make_unique<DependencyDistancePass>(
+        DependencyDistancePass::parse(args.get("dep"), "--dep")));
     Program p = synth.synthesize("mprobe-run");
-
-    std::vector<ChipConfig> configs;
-    if (args.get("configs") == "all") {
-        configs = ChipConfig::all();
-    } else {
-        for (const auto &c : split(args.get("configs"), ',')) {
-            auto parts = split(trim(c), '-');
-            if (parts.size() != 2)
-                fatal(cat("bad config '", c, "' (want cores-smt)"));
-            configs.push_back(
-                {static_cast<int>(parseInt(parts[0], "--configs")),
-                 static_cast<int>(
-                     parseInt(parts[1], "--configs"))});
-        }
-    }
 
     TextTable t({"Config", "IPC", "Power(W)", "Ginstr/s", "L1",
                  "L2", "L3", "MEM"});

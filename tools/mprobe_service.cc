@@ -45,11 +45,9 @@ main(int argc, char **argv)
                    "worker threads draining the pool (0 = one per "
                    "hardware thread)");
     args.addOption("poll-seconds", "",
-                   "seconds between drop-directory scans "
-                   "(default 1)");
-    args.addOption("status-seconds", "",
-                   "seconds between status/partial-export "
-                   "refreshes (default 5)");
+                   "seconds between drop-directory scans, each of "
+                   "which also refreshes status.json and the partial "
+                   "exports (default 1)");
     args.addOption("claim-ttl", "",
                    "seconds before a claim with no heartbeat "
                    "counts as dead and its job is stolen "
@@ -86,9 +84,6 @@ main(int argc, char **argv)
     if (!args.get("poll-seconds").empty())
         opts.pollSeconds = parseDouble(args.get("poll-seconds"),
                                        "--poll-seconds");
-    if (!args.get("status-seconds").empty())
-        opts.statusSeconds = parseDouble(
-            args.get("status-seconds"), "--status-seconds");
     if (!args.get("claim-ttl").empty()) {
         opts.claimTtlSeconds =
             parseDouble(args.get("claim-ttl"), "--claim-ttl");
