@@ -150,16 +150,17 @@ jobPoint(const Machine &machine, const CampaignJob &job)
     return op;
 }
 
-/** The jobs at @p indices, in index order. */
-std::vector<CampaignJob>
-jobsAt(const std::vector<CampaignJob> &jobs,
-       const std::vector<size_t> &indices)
+/**
+ * Time-throttled election among worker threads: true for exactly
+ * one caller once @p elapsed_ms reaches the deadline in @p next,
+ * which that caller moves on to @p elapsed_ms + @p period_ms.
+ */
+bool
+electDue(std::atomic<int64_t> &next, int64_t elapsed_ms, int64_t period_ms)
 {
-    std::vector<CampaignJob> out;
-    out.reserve(indices.size());
-    for (size_t i : indices)
-        out.push_back(jobs[i]);
-    return out;
+    int64_t deadline = next.load();
+    return elapsed_ms >= deadline &&
+           next.compare_exchange_strong(deadline, elapsed_ms + period_ms);
 }
 
 } // namespace
@@ -233,17 +234,6 @@ JobExecutor::measure(const CampaignJob &job, const Program &prog,
     Sample s = makeSample(prog.name, r);
     cache.store(job.key, s);
     return s;
-}
-
-std::vector<size_t>
-costAwareShardIndices(const std::vector<CampaignJob> &jobs,
-                      int index, int count)
-{
-    std::vector<double> costs;
-    costs.reserve(jobs.size());
-    for (const auto &job : jobs)
-        costs.push_back(job.cost);
-    return costStripedShard(costs, index, count);
 }
 
 Campaign::Campaign(const Machine &m, CampaignSpec s)
@@ -407,11 +397,10 @@ Campaign::expandJobs(
 }
 
 void
-Campaign::writeManifest(
-    const std::vector<CampaignWorkload> &workloads,
-    const std::vector<CampaignJob> &jobs) const
+Campaign::writeManifest(const CampaignResult &res) const
 {
-    if (!cache.enabled() && spec.manifestDir.empty())
+    const std::string &mdir = spec.manifestDirectory();
+    if (mdir.empty())
         return;
     CampaignManifest m;
     m.spec = spec.contentSummary();
@@ -421,9 +410,9 @@ Campaign::writeManifest(
     const GroundTruthParams &gt = machine.groundTruth();
     m.curve = {machine.clockGhz(), gt.vddNominal, gt.vddSlopePerGhz,
                gt.vddFloor};
-    m.entries.reserve(jobs.size());
-    for (const auto &job : jobs) {
-        const CampaignWorkload &w = workloads[job.workload];
+    m.entries.reserve(res.jobs.size());
+    for (const auto &job : res.jobs) {
+        const CampaignWorkload &w = res.workloads[job.workload];
         m.entries.push_back(
             {job.key, job.config,
              w.source.empty() ? "adhoc" : w.source,
@@ -434,23 +423,20 @@ Campaign::writeManifest(
     // of one campaign persists the identical full job list. The
     // service points manifestDir at a per-campaign directory so
     // many concurrent campaigns can share one cache.
-    const std::string &mdir = spec.manifestDir.empty()
-                                  ? spec.cacheDir
-                                  : spec.manifestDir;
     std::error_code ec;
     std::filesystem::create_directories(mdir, ec);
     mergeSaveManifest(manifestPath(mdir), m);
 }
 
-Campaign::JobRunOutcome
-Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
-                  const std::vector<CampaignJob> &jobs,
-                  size_t campaign_total)
+void
+Campaign::runJobs(CampaignResult &res)
 {
+    const std::vector<CampaignWorkload> &workloads = res.workloads;
+    const std::vector<CampaignJob> &jobs = res.jobs;
     std::string shard_tag =
         spec.sharded() ? cat(" [shard ", spec.shardIndex, "/",
                              spec.shardCount, " of ",
-                             campaign_total, " campaign jobs]")
+                             res.totalJobs, " campaign jobs]")
                        : std::string();
     inform(cat("campaign: measuring ", jobs.size(), " jobs (",
                workloads.size(), " workloads) on ", spec.threads,
@@ -458,10 +444,9 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
                shard_tag));
 
     // Progress reporting: an atomic completion counter plus a
-    // time-throttled reporter election (compare-exchange on the
-    // next report deadline, so exactly one worker prints each
-    // line). The denominator is this call's job count; under a
-    // shard the campaign-wide total gives context.
+    // time-throttled reporter election (electDue, so exactly one
+    // worker prints each line). The denominator is this call's job
+    // count; under a shard the campaign-wide total gives context.
     // lint: wallclock-ok(progress/ETA and claim heartbeats only)
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
@@ -531,10 +516,6 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
 
     // Each job writes only its own slot: no result synchronization,
     // and sample order is scheduling-independent by construction.
-    JobRunOutcome out;
-    out.samples.resize(jobs.size());
-    out.seconds.assign(jobs.size(), 0.0);
-    out.cached.assign(jobs.size(), 0);
     JobExecutor exec(machine, cache);
     parallelFor(spec.threads, groups.size(), [&](size_t q) {
         // One decode per group, deferred until a member misses the
@@ -542,11 +523,12 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
         std::unique_ptr<Machine::Batch> batch;
         for (size_t i : groups[exec_order[q]]) {
             const CampaignJob &job = jobs[i];
-            out.cached[i] = exec.run(job, workloads[job.workload].program,
-                                     out.samples[i], &out.seconds[i], &batch);
-            if (out.cached[i])
+            res.jobCached[i] = exec.run(job, workloads[job.workload].program,
+                                        res.samples[i], &res.jobSeconds[i],
+                                        &batch);
+            if (res.jobCached[i])
                 ++cached;
-            (out.cached[i] ? cached_cost_milli : cold_cost_milli)
+            (res.jobCached[i] ? cached_cost_milli : cold_cost_milli)
                 .fetch_add(static_cast<int64_t>(
                     std::llround(job.cost * 1000.0)));
             size_t k = ++done;
@@ -556,10 +538,7 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
                 std::chrono::duration_cast<std::chrono::milliseconds>(
                     clock::now() - t0)
                     .count();
-            int64_t deadline = next_report_ms.load();
-            if (elapsed >= deadline &&
-                next_report_ms.compare_exchange_strong(
-                    deadline, elapsed + every_ms)) {
+            if (electDue(next_report_ms, elapsed, every_ms)) {
                 // ETA from the cold cost actually retired so far, not
                 // from job counts: with mixed configs the heavy jobs
                 // run first, so count-based estimates would overshoot
@@ -595,14 +574,13 @@ Campaign::runJobs(const std::vector<CampaignWorkload> &workloads,
             }
         }
     }, "campaign measure");
-    return out;
 }
 
-Campaign::JobRunOutcome
-Campaign::runClaimed(
-    const std::vector<CampaignWorkload> &workloads,
-    const std::vector<CampaignJob> &jobs)
+void
+Campaign::runClaimed(CampaignResult &res)
 {
+    const std::vector<CampaignWorkload> &workloads = res.workloads;
+    const std::vector<CampaignJob> &jobs = res.jobs;
     ClaimDir claimdir(spec.cacheDir, spec.workerId,
                       spec.claimTtlSeconds);
     std::vector<PoolJob> pool;
@@ -617,20 +595,18 @@ Campaign::runClaimed(
                spec.threads,
                spec.threads == 1 ? " thread" : " threads"));
 
-    // lint: wallclock-ok(progress/ETA and claim heartbeats only)
+    // lint: wallclock-ok(progress lines and telemetry cadence only)
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
     const int64_t every_ms =
         spec.progressSeconds > 0
             ? static_cast<int64_t>(spec.progressSeconds * 1000.0)
             : 0;
+    const int64_t poll_ms = std::max<int64_t>(
+        1, static_cast<int64_t>(spec.claimPollSeconds * 1000.0));
     std::atomic<size_t> ran{0};
     std::atomic<int64_t> next_report_ms{every_ms};
-
-    JobRunOutcome out;
-    out.samples.resize(jobs.size());
-    out.seconds.assign(jobs.size(), 0.0);
-    out.cached.assign(jobs.size(), 0);
+    std::atomic<int64_t> next_publish_ms{0};
 
     JobExecutor exec(machine, cache);
     // Every worker thread loops pull -> run -> complete until the
@@ -654,34 +630,30 @@ Campaign::runClaimed(
             // The executor re-checks the cache: a peer may have
             // cached the job between our queue scan and the claim.
             const CampaignJob &job = jobs[i];
-            out.cached[i] = exec.run(job, workloads[job.workload].program,
-                                     out.samples[i], &out.seconds[i]);
+            res.jobCached[i] = exec.run(job, workloads[job.workload].program,
+                                        res.samples[i], &res.jobSeconds[i]);
             // Store first, release second: once the claim is gone
             // the job must already be skippable via the cache.
             queue.complete(i);
             size_t k = ++ran;
-            if (every_ms <= 0)
-                continue;
             int64_t elapsed =
                 std::chrono::duration_cast<
                     std::chrono::milliseconds>(clock::now() - t0)
                     .count();
-            int64_t deadline = next_report_ms.load();
-            if (elapsed >= deadline &&
-                next_report_ms.compare_exchange_strong(
-                    deadline, elapsed + every_ms)) {
+            // The telemetry heartbeat does not wait for progress
+            // lines: the first completed job publishes, then one
+            // elected thread per claim-poll interval (never once
+            // per job; atomicWriteFile keeps readers tear-free).
+            if (electDue(next_publish_ms, elapsed, poll_ms))
+                claimdir.publishTelemetry(
+                    cache, k, static_cast<double>(elapsed) / 1000.0);
+            if (every_ms > 0 && electDue(next_report_ms, elapsed, every_ms))
                 inform(cat("campaign: serve: ", k,
                            " jobs run by this worker, ",
                            queue.completedByPeers(),
                            " taken by peers, ", queue.pending(),
                            " of ", jobs.size(), " pool jobs open ",
                            "(", claimdir.stolen(), " stolen)"));
-                // The progress reporter doubles as the telemetry
-                // heartbeat: the CAS elected exactly one thread,
-                // and atomicWriteFile keeps readers tear-free.
-                claimdir.publishTelemetry(
-                    cache, k, static_cast<double>(elapsed) / 1000.0);
-            }
         }
     };
     parallelFor(spec.threads,
@@ -694,16 +666,16 @@ Campaign::runClaimed(
     // byte-identical to an unsharded run's.
     size_t holes = 0;
     for (size_t i = 0; i < jobs.size(); ++i) {
-        if (!out.samples[i].rates.empty())
+        if (!res.samples[i].rates.empty())
             continue;
         // A cached result that vanished, went corrupt or is not
         // this job's between drain and collection is re-measured
         // locally rather than exported as a hole.
         const CampaignJob &job = jobs[i];
-        if (exec.collect(job, workloads[job.workload].program, out.samples[i]))
+        if (exec.collect(job, workloads[job.workload].program, res.samples[i]))
             ++holes;
         else
-            out.cached[i] = 1;
+            res.jobCached[i] = 1;
     }
     if (holes > 0)
         warn(cat("campaign: serve: ", holes,
@@ -718,85 +690,89 @@ Campaign::runClaimed(
     claimdir.publishTelemetry(
         cache, ran.load(),
         std::chrono::duration<double>(clock::now() - t0).count());
-    out.claimsAcquired = claimdir.acquired();
-    out.claimsStolen = claimdir.stolen();
-    return out;
+    res.claimsAcquired = claimdir.acquired();
+    res.claimsStolen = claimdir.stolen();
 }
 
-CampaignExpansion
+CampaignResult
 Campaign::expand(Architecture &arch)
 {
-    CampaignExpansion out;
-    out.workloads = expandWorkloads(arch);
-    out.jobs = expandJobs(
-        out.workloads,
-        std::vector<std::vector<ChipConfig>>(out.workloads.size(),
-                                             spec.configs));
-    // The manifest is persisted before any measurement — the full
-    // job list, so interrupted/sharded/served runs can always
+    // lint: wallclock-ok(generation phase wall time for --metrics-json)
+    using clock = std::chrono::steady_clock;
+    CampaignResult res;
+    const auto t0 = clock::now();
+    res.workloads = expandWorkloads(arch);
+    res.generationSeconds =
+        std::chrono::duration<double>(clock::now() - t0).count();
+    obs::gauge("generation_seconds").set(res.generationSeconds);
+    res.jobs = expandJobs(res.workloads,
+                          std::vector<std::vector<ChipConfig>>(
+                              res.workloads.size(), spec.configs));
+    res.totalJobs = res.jobs.size();
+    // The manifest is persisted before any measurement — always the
+    // *full* job list, so interrupted, sharded and served runs can
     // report what is left and --merge sees every job.
-    writeManifest(out.workloads, out.jobs);
-    return out;
+    writeManifest(res);
+    return res;
 }
 
 CampaignResult
 Campaign::run(Architecture &arch)
 {
-    // lint: wallclock-ok(progress/ETA and claim heartbeats only)
+    CampaignResult res = expand(arch);
+    if (spec.sharded()) {
+        std::vector<double> costs;
+        costs.reserve(res.jobs.size());
+        for (const CampaignJob &job : res.jobs)
+            costs.push_back(job.cost);
+        // Named: a range-for over costStripedPartition(...)[i]
+        // would walk a destroyed temporary.
+        const std::vector<std::vector<size_t>> shards =
+            costStripedPartition(costs, spec.shardCount);
+        const std::vector<size_t> &mine =
+            shards[static_cast<size_t>(spec.shardIndex)];
+        std::vector<CampaignJob> slice;
+        slice.reserve(mine.size());
+        for (size_t i : mine)
+            slice.push_back(res.jobs[i]);
+        res.jobs = std::move(slice);
+    }
+    measureJobs(res);
+    return res;
+}
+
+void
+Campaign::measureJobs(CampaignResult &res)
+{
+    // lint: wallclock-ok(measurement phase wall time for --metrics-json)
     using clock = std::chrono::steady_clock;
-    CampaignResult res;
-    auto t0 = clock::now();
-    res.workloads = expandWorkloads(arch);
-    auto t1 = clock::now();
-    std::vector<CampaignJob> all_jobs = expandJobs(
-        res.workloads, std::vector<std::vector<ChipConfig>>(
-                           res.workloads.size(), spec.configs));
-    res.totalJobs = all_jobs.size();
-    // The manifest is persisted before measurement starts — always
-    // the *full* job list, so an interrupted or sharded run can
-    // always report what is left and --merge sees every job.
-    writeManifest(res.workloads, all_jobs);
-    if (spec.sharded())
-        res.jobs = jobsAt(all_jobs,
-                          costAwareShardIndices(all_jobs,
-                                                spec.shardIndex,
-                                                spec.shardCount));
-    else
-        res.jobs = std::move(all_jobs);
-    size_t hits0 = cache.hits(), misses0 = cache.misses();
-    size_t corrupt0 = cache.corrupt();
-    JobRunOutcome outcome;
+    const auto t0 = clock::now();
+    const size_t hits0 = cache.hits(), misses0 = cache.misses();
+    const size_t corrupt0 = cache.corrupt();
+    res.samples.resize(res.jobs.size());
+    res.jobSeconds.assign(res.jobs.size(), 0.0);
+    res.jobCached.assign(res.jobs.size(), 0);
     {
         obs::TraceSpan span("campaign.measure");
-        outcome = spec.serve
-                      ? runClaimed(res.workloads, res.jobs)
-                      : runJobs(res.workloads, res.jobs,
-                                res.totalJobs);
+        if (spec.serve)
+            runClaimed(res);
+        else
+            runJobs(res);
         span.note("jobs", static_cast<double>(res.jobs.size()));
     }
-    res.samples = std::move(outcome.samples);
-    res.jobSeconds = std::move(outcome.seconds);
-    res.jobCached = std::move(outcome.cached);
-    auto t2 = clock::now();
     res.cacheHits = cache.hits() - hits0;
     res.cacheMisses = cache.misses() - misses0;
     res.cacheCorrupt = cache.corrupt() - corrupt0;
-    res.claimsAcquired = outcome.claimsAcquired;
-    res.claimsStolen = outcome.claimsStolen;
     // The cache cannot count corrupt entries into the registry
     // itself (cache.cc is inside the obs-isolation boundary), so
     // the engine syncs the delta here.
     if (res.cacheCorrupt > 0)
         obs::counter("cache_corrupt").add(res.cacheCorrupt);
-    res.generationSeconds =
-        std::chrono::duration<double>(t1 - t0).count();
     res.measureSeconds =
-        std::chrono::duration<double>(t2 - t1).count();
-    obs::gauge("generation_seconds").set(res.generationSeconds);
+        std::chrono::duration<double>(clock::now() - t0).count();
     obs::gauge("measure_seconds").set(res.measureSeconds);
     inform(cat("campaign: done; cache ", res.cacheHits, " hits / ",
                res.cacheMisses, " misses"));
-    return res;
 }
 
 namespace
@@ -840,17 +816,17 @@ Campaign::measure(
         fatal("campaign: measure() returns every sample and cannot "
               "run a shard slice; use serve (MPROBE_SERVE=1) to "
               "spread a bench or pipeline over a fleet");
-    auto workloads = adhocWorkloads(programs);
-    auto jobs = expandJobs(workloads, configs_per);
+    CampaignResult res;
+    res.workloads = adhocWorkloads(programs);
+    res.jobs = expandJobs(res.workloads, configs_per);
+    res.totalJobs = res.jobs.size();
     // measure() campaigns are manifest-covered too: benches and
     // the model pipeline accumulate their job lists next to the
     // shared cache, which is what makes --resume and --merge work
     // for them.
-    writeManifest(workloads, jobs);
-    JobRunOutcome outcome = spec.serve
-                                ? runClaimed(workloads, jobs)
-                                : runJobs(workloads, jobs, jobs.size());
-    return std::move(outcome.samples);
+    writeManifest(res);
+    measureJobs(res);
+    return std::move(res.samples);
 }
 
 CampaignSpec

@@ -76,7 +76,8 @@ struct CampaignWorkload
     std::string group;
 };
 
-/** Everything a campaign run produces. */
+/** Everything a campaign run produces (expand() fills all but the
+ * measurement fields). */
 struct CampaignResult
 {
     /** One sample per executed job, in job order (workload-major).
@@ -108,7 +109,9 @@ struct CampaignResult
     std::vector<char> jobCached;
     /** @name Phase wall times (perf trajectory tracking) */
     /**@{*/
+    /** Bootstrap and workload generation only, not job expansion. */
     double generationSeconds = 0.0;
+    /** The measurement phase alone. */
     double measureSeconds = 0.0;
     /**@}*/
 };
@@ -218,29 +221,6 @@ class JobExecutor
 uint64_t campaignFingerprint(const CampaignSpec &spec,
                              uint64_t machine_fingerprint);
 
-/**
- * The engine's shard partition: deterministic cost-weighted
- * striping (LPT greedy over job.cost, see campaign/cost.hh) of the
- * expanded job list. It is a pure function of the (ordered) job
- * list — never of scheduling or cache state — so every shard of
- * one campaign computes the identical partition on its own, the
- * union over all shards is exactly the unsharded job list, and
- * --merge exports stay byte-identical to an unsharded run. The
- * summed estimated cost per shard is near-balanced even when the
- * config mix is skewed (an 8-4 job costs ~32x a 1-1 job).
- */
-std::vector<size_t>
-costAwareShardIndices(const std::vector<CampaignJob> &jobs,
-                      int index, int count);
-
-/** A campaign expanded but not yet measured: what the service's
- * ingest step produces and its shared pool consumes. */
-struct CampaignExpansion
-{
-    std::vector<CampaignWorkload> workloads;
-    std::vector<CampaignJob> jobs;
-};
-
 /** The engine: expansion, scheduling, caching, collection. */
 class Campaign
 {
@@ -253,30 +233,29 @@ class Campaign
     Campaign(const Machine &machine, CampaignSpec spec);
 
     /**
-     * Run the full campaign: generate the spec's workloads (suite
-     * generation bootstraps @p arch first when the spec says so),
-     * expand jobs, measure them on the pool, export-ready samples
-     * out. Generation is serial and deterministic; only the
-     * embarrassingly parallel measurement phase fans out.
+     * Run the full campaign: expand(), then the measurement phase
+     * on the pool, export-ready samples out.
      *
      * Under a shard spec, the full job list is still expanded and
-     * persisted to the manifest, but only this shard's slice is
-     * measured and returned (result.totalJobs keeps the full
-     * count); once every shard has run against the shared cache
-     * directory, `mprobe_campaign --merge` assembles the complete
-     * export from the manifest and the cache.
+     * persisted to the manifest, but only this shard's slice of the
+     * cost-striped partition (campaign/cost.hh) is measured and
+     * returned (result.totalJobs keeps the full count). Every shard
+     * computes the same partition from the job list alone, so once
+     * every shard has run against the shared cache directory,
+     * `mprobe_campaign --merge` assembles the complete export from
+     * the manifest and the cache.
      */
     CampaignResult run(Architecture &arch);
 
     /**
-     * Generation + expansion only: produce the campaign's
-     * workloads and full job list and persist the manifest, without
-     * measuring anything. The drop-directory service ingests new
-     * campaigns through this entry and feeds the jobs into its
-     * shared claim pool; run() is exactly expand() + the
-     * measurement phase.
+     * Generation + expansion only: generate the spec's workloads
+     * (suite generation bootstraps @p arch first when the spec says
+     * so), expand the full job list and persist the manifest,
+     * without measuring anything; the result has no samples. The
+     * drop-directory service ingests new campaigns through this
+     * entry and feeds the jobs into its shared claim pool.
      */
-    CampaignExpansion expand(Architecture &arch);
+    CampaignResult expand(Architecture &arch);
 
     /**
      * Lower-level entry: measure an explicit workload list across
@@ -335,46 +314,36 @@ class Campaign
                const std::vector<std::vector<ChipConfig>> &configs_per)
         const;
 
-    /** What one runJobs call produced (samples plus the per-job
-     * timing/caching record --calibrate consumes). */
-    struct JobRunOutcome
-    {
-        std::vector<Sample> samples;
-        std::vector<double> seconds;
-        std::vector<char> cached;
-        /** Claim-pool statistics (runClaimed only). */
-        size_t claimsAcquired = 0;
-        size_t claimsStolen = 0;
-    };
+    /**
+     * The measurement phase of @p res's jobs, for run() and
+     * measure() alike: fills the samples, per-job seconds and cache
+     * flags, the cache and claim statistics and measureSeconds,
+     * inside one campaign.measure span. Dispatches to runClaimed
+     * under `spec.serve`, else to runJobs.
+     */
+    void measureJobs(CampaignResult &res);
 
     /**
-     * Execute pre-expanded jobs on the pool; the parallel phase.
-     * @p campaign_total is the full campaign's job count (the
-     * progress-line denominator context when @p jobs is a shard
-     * slice of it).
+     * Execute @p res's jobs on the pool into their pre-sized slots.
+     * res.totalJobs gives the progress line its campaign-wide
+     * context when the jobs are a shard slice.
      */
-    JobRunOutcome
-    runJobs(const std::vector<CampaignWorkload> &workloads,
-            const std::vector<CampaignJob> &jobs,
-            size_t campaign_total);
+    void runJobs(CampaignResult &res);
 
     /**
      * Claim-based execution (--serve): this worker's threads pull
      * jobs from the full campaign pool through per-job claim files
      * in the shared cache directory, stealing from dead peers once
      * their claims pass the TTL. Returns only when every job of
-     * the campaign is in the cache — the outcome covers all @p
-     * jobs (peer-measured ones loaded from the cache), so a serve
+     * the campaign is in the cache — every slot is filled
+     * (peer-measured ones loaded from the cache), so a serve
      * worker's export is byte-identical to an unsharded run's.
      */
-    JobRunOutcome
-    runClaimed(const std::vector<CampaignWorkload> &workloads,
-               const std::vector<CampaignJob> &jobs);
+    void runClaimed(CampaignResult &res);
 
-    /** Persist the job manifest next to the cache (resume). */
-    void
-    writeManifest(const std::vector<CampaignWorkload> &workloads,
-                  const std::vector<CampaignJob> &jobs) const;
+    /** Persist @p res's job list into the campaign's manifest
+     * (resume, merge). */
+    void writeManifest(const CampaignResult &res) const;
 };
 
 /**

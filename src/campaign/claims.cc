@@ -12,14 +12,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 
 #include "obs/metrics.hh"
 #include "obs/telemetry.hh"
 #include "obs/trace.hh"
 #include "util/logging.hh"
-#include "util/str.hh"
 
 namespace mprobe
 {
@@ -47,7 +44,8 @@ ClaimDir::ClaimDir(std::string d, std::string worker_id,
     if (ttl <= 0.0)
         fatal(cat("claims: TTL must be > 0 seconds, got ", ttl));
     if (dir.empty())
-        return;
+        fatal("claims: no claim directory (claims live in the "
+              "campaign's shared cache directory)");
     std::error_code ec;
     fs::create_directories(dir, ec);
     if (ec)
@@ -99,8 +97,6 @@ ClaimDir::createClaim(const std::string &path) const
 bool
 ClaimDir::tryAcquire(uint64_t key)
 {
-    if (!enabled())
-        return true;
     std::string path = pathOf(key);
     bool stole = false;
     if (!createClaim(path)) {
@@ -139,8 +135,6 @@ ClaimDir::tryAcquire(uint64_t key)
 void
 ClaimDir::release(uint64_t key)
 {
-    if (!enabled())
-        return;
     {
         MutexLock lock(heldMutex);
         held.erase(key);
@@ -157,8 +151,6 @@ ClaimDir::release(uint64_t key)
 void
 ClaimDir::heartbeatHeld()
 {
-    if (!enabled())
-        return;
     std::vector<uint64_t> keys;
     {
         MutexLock lock(heldMutex);
@@ -178,33 +170,15 @@ ClaimDir::heartbeatHeld()
 }
 
 bool
-ClaimDir::info(uint64_t key, ClaimInfo &out) const
+ClaimDir::live(uint64_t key) const
 {
-    if (!enabled())
-        return false;
-    std::string path = pathOf(key);
-    double age = claimAge(path);
-    if (age < 0.0)
-        return false;
-    out.ageSeconds = age;
-    out.worker.clear();
-    std::ifstream f(path);
-    std::string line;
-    while (std::getline(f, line)) {
-        std::string s = trim(line);
-        if (s.rfind("worker ", 0) == 0) {
-            out.worker = trim(s.substr(7));
-            break;
-        }
-    }
-    return true;
+    double age = claimAge(pathOf(key));
+    return age >= 0.0 && age <= ttl;
 }
 
 bool
 ClaimDir::sweepIfStale(uint64_t key)
 {
-    if (!enabled())
-        return false;
     std::string path = pathOf(key);
     double age = claimAge(path);
     if (age <= ttl)

@@ -59,15 +59,6 @@ namespace mprobe
  */
 constexpr double kDefaultClaimTtlSeconds = 60.0;
 
-/** What an existing claim file says about its holder. */
-struct ClaimInfo
-{
-    /** Claiming worker's id ("host:pid" by default). */
-    std::string worker;
-    /** Seconds since the claim's last heartbeat (mtime). */
-    double ageSeconds = 0.0;
-};
-
 /** "host:pid" identity of this worker process. */
 std::string defaultWorkerId();
 
@@ -80,17 +71,14 @@ class ClaimDir
 {
   public:
     /**
-     * Bind to @p dir (the campaign's shared cache directory; empty
-     * disables claiming — tryAcquire always succeeds without
-     * touching disk, for cache-less single-process runs). An empty
-     * @p worker_id resolves to defaultWorkerId().
+     * Bind to @p dir (the campaign's shared cache directory, created
+     * when missing; empty is fatal). An empty @p worker_id resolves
+     * to defaultWorkerId().
      */
     explicit ClaimDir(std::string dir, std::string worker_id = "",
                       double ttl_seconds = kDefaultClaimTtlSeconds);
 
-    bool enabled() const { return !dir.empty(); }
     const std::string &workerId() const { return worker; }
-    double ttlSeconds() const { return ttl; }
 
     /** Path of a key's claim file (`<dir>/<key>.claim`). */
     std::string pathOf(uint64_t key) const;
@@ -122,11 +110,11 @@ class ClaimDir
     void heartbeatHeld();
 
     /**
-     * Read the claim on @p key, if any. Returns false when no
-     * claim file exists (or it vanishes mid-read — releases race
-     * with observers by design).
+     * Whether a live worker holds @p key: its claim file exists and
+     * its heartbeat is within the TTL. The claim may be released or
+     * stolen right after, so observers use it for counts only.
      */
-    bool info(uint64_t key, ClaimInfo &out) const;
+    bool live(uint64_t key) const;
 
     /**
      * Remove a *stale* claim on @p key without taking it — cleanup

@@ -50,17 +50,6 @@ costStripedPartition(const std::vector<double> &costs, int count)
     return shards;
 }
 
-std::vector<size_t>
-costStripedShard(const std::vector<double> &costs, int index,
-                 int count)
-{
-    if (index < 0 || index >= count)
-        fatal(cat("costStripedShard: bad shard ", index, "/",
-                  count));
-    return costStripedPartition(costs,
-                                count)[static_cast<size_t>(index)];
-}
-
 CostCalibration
 calibrateJobCostModel(const std::vector<JobTiming> &timings)
 {

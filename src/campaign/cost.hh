@@ -10,8 +10,8 @@
  *
  * The JobCostModel estimates the relative cost of one (workload,
  * configuration) job from what the simulator actually scales with —
- * deployed hardware threads x loop body size — and the partition
- * functions below turn those estimates into a deterministic
+ * deployed hardware threads x loop body size — and
+ * costStripedPartition turns those estimates into a deterministic
  * LPT-style (longest processing time first) greedy striping:
  * jobs are taken in descending cost order and each is assigned to
  * the currently lightest shard. For a fixed job list the partition
@@ -67,11 +67,6 @@ struct JobCostModel
  */
 std::vector<std::vector<size_t>>
 costStripedPartition(const std::vector<double> &costs, int count);
-
-/** Shard @p index of costStripedPartition(costs, count). */
-std::vector<size_t>
-costStripedShard(const std::vector<double> &costs, int index,
-                 int count);
 
 /** One measured job wall time, as recorded in the campaign's
  * --metrics-json (cache hits are excluded from calibration: they

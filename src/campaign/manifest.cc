@@ -248,16 +248,6 @@ loadManifest(const std::string &path, CampaignManifest &out)
     return true;
 }
 
-std::vector<ManifestEntry>
-remainingJobs(const CampaignManifest &m, const ResultCache &cache)
-{
-    std::vector<ManifestEntry> out;
-    for (const auto &e : m.entries)
-        if (!cache.contains(e.key))
-            out.push_back(e);
-    return out;
-}
-
 ManifestCollection
 collectManifestSamples(const CampaignManifest &m,
                        const ResultCache &cache,

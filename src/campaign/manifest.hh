@@ -141,8 +141,9 @@ struct ManifestCollection
 
 /**
  * Resolve every manifest entry against the cache, in manifest
- * order — the merge step of a sharded campaign. When missing comes
- * back empty, samples is the complete campaign: exporting it is
+ * order — the merge step of a sharded campaign, and (missing)
+ * --resume's list of what is left. When missing comes back
+ * empty, samples is the complete campaign: exporting it is
  * bit-identical to the export of an unsharded run, because the
  * manifest preserves job order and cached samples round-trip
  * exactly. Each entry is checked against its job's identity, so an
@@ -155,15 +156,6 @@ ManifestCollection
 collectManifestSamples(const CampaignManifest &m,
                        const ResultCache &cache,
                        const Machine &machine);
-
-/**
- * Entries of @p m whose results are not yet in @p cache — the jobs
- * an interrupted campaign still has to run. Presence is judged by
- * cache-entry existence; a corrupt entry is re-measured at run time
- * anyway.
- */
-std::vector<ManifestEntry>
-remainingJobs(const CampaignManifest &m, const ResultCache &cache);
 
 } // namespace mprobe
 

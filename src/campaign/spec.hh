@@ -165,6 +165,13 @@ struct CampaignSpec
 
     /** Whether this spec selects a strict subset of the jobs. */
     bool sharded() const { return shardCount > 1; }
+    /** Directory of the campaign's manifest: manifestDir, else the
+     * cache directory. The engine writes the manifest there, and
+     * --resume and --merge read it from there. */
+    const std::string &manifestDirectory() const
+    {
+        return manifestDir.empty() ? cacheDir : manifestDir;
+    }
 
     /** Workloads per config is not knowable before generation, but
      * configs-per-workload is: */

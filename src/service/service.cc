@@ -30,19 +30,31 @@ CampaignService::ActiveCampaign::ActiveCampaign(std::string name_,
 {
 }
 
-CampaignService::CampaignService(ServiceOptions o)
-    : opts(std::move(o)), cache(opts.cacheDir),
-      claims(opts.cacheDir, opts.workerId, opts.claimTtlSeconds),
-      queue(cache, claims)
+namespace
 {
-    if (opts.dropDir.empty() || opts.cacheDir.empty() ||
-        opts.resultsDir.empty())
+
+/** @p o, once it names every directory and a positive poll period
+ * (checked before the claim directory is bound to the cache). */
+ServiceOptions
+checkedOptions(ServiceOptions o)
+{
+    if (o.dropDir.empty() || o.cacheDir.empty() || o.resultsDir.empty())
         fatal("service: --drop-dir, --cache-dir and --results-dir "
               "are all required (specs arrive in the first, the "
               "fleet's pool lives in the second, per-campaign "
               "results stream into the third)");
-    if (opts.pollSeconds <= 0.0)
+    if (o.pollSeconds <= 0.0)
         fatal("service: the poll period must be > 0 seconds");
+    return o;
+}
+
+} // namespace
+
+CampaignService::CampaignService(ServiceOptions o)
+    : opts(checkedOptions(std::move(o))), cache(opts.cacheDir),
+      claims(opts.cacheDir, opts.workerId, opts.claimTtlSeconds),
+      queue(cache, claims)
+{
     std::error_code ec;
     fs::create_directories(opts.dropDir, ec);
     if (ec)
@@ -102,7 +114,7 @@ CampaignService::ingestSpec(const std::string &path)
         inform(cat("service: ingesting campaign '", name, "' (",
                    c->spec.contentSummary(), ")"));
         Campaign campaign(c->machine, c->spec);
-        CampaignExpansion ex = campaign.expand(c->arch);
+        CampaignResult ex = campaign.expand(c->arch);
         c->workloads = std::move(ex.workloads);
         c->jobs = std::move(ex.jobs);
         c->done.assign(c->jobs.size(), 0);
@@ -221,11 +233,8 @@ CampaignService::updateStatus()
                 if (cache.contains(c.jobs[j].key)) {
                     c.done[j] = 1;
                     ++c.doneCount;
-                } else {
-                    ClaimInfo info;
-                    if (claims.info(c.jobs[j].key, info) &&
-                        info.ageSeconds <= claims.ttlSeconds())
-                        ++claimed;
+                } else if (claims.live(c.jobs[j].key)) {
+                    ++claimed;
                 }
             }
         }

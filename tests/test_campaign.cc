@@ -705,7 +705,7 @@ TEST(CampaignResume, CompletesOnlyRemainingJobs)
         std::filesystem::remove(cache.pathOf(ref.jobs[i].key));
 
     // Resume reporting sees exactly the dropped jobs.
-    auto rem = remainingJobs(m, cache);
+    auto rem = collectManifestSamples(m, cache, f.machine).missing;
     ASSERT_EQ(rem.size(), ref.jobs.size() - done);
     for (size_t i = 0; i < rem.size(); ++i)
         EXPECT_EQ(rem[i].key, ref.jobs[done + i].key) << i;
@@ -722,7 +722,7 @@ TEST(CampaignResume, CompletesOnlyRemainingJobs)
     EXPECT_EQ(res_csv.str(), ref_csv.str());
 
     // Nothing is left afterwards.
-    EXPECT_TRUE(remainingJobs(m, cache).empty());
+    EXPECT_TRUE(collectManifestSamples(m, cache, f.machine).missing.empty());
 }
 
 // ---------------------------------------------------------------
@@ -1139,7 +1139,7 @@ TEST(CampaignMeasure, WritesAndAccumulatesManifest)
         EXPECT_EQ(e.source, "adhoc");
     // Everything measured: resume has nothing left.
     ResultCache cache(spec.cacheDir);
-    EXPECT_TRUE(remainingJobs(m, cache).empty());
+    EXPECT_TRUE(collectManifestSamples(m, cache, f.machine).missing.empty());
 
     // A second measure() call with new programs accumulates into
     // the same manifest (the model pipeline issues several calls).
@@ -1294,11 +1294,8 @@ TEST(CostStripe, PartitionsDisjointlyAndDeterministically)
             EXPECT_EQ(seen[i], 1) << "hole at " << i;
         // Pure function of the costs: recomputing (as every shard
         // of a campaign does independently) yields the identical
-        // partition, and the single-shard accessor agrees.
+        // partition.
         EXPECT_EQ(shards, costStripedPartition(costs, count));
-        for (int s = 0; s < count; ++s)
-            EXPECT_EQ(shards[static_cast<size_t>(s)],
-                      costStripedShard(costs, s, count));
     }
 }
 

@@ -50,11 +50,22 @@ backdateClaim(const std::string &path, double seconds)
     fs::last_write_time(path, stamp);
 }
 
+/** The worker id a claim file carries (its `worker` line). */
+std::string
+claimWorker(const std::string &path)
+{
+    std::ifstream f(path);
+    std::string line;
+    while (std::getline(f, line))
+        if (line.rfind("worker ", 0) == 0)
+            return line.substr(7);
+    return "";
+}
+
 TEST(Claims, AcquireReleaseReacquire)
 {
     std::string dir = freshDir("acquire");
     ClaimDir claims(dir, "w1", 60.0);
-    EXPECT_TRUE(claims.enabled());
     EXPECT_TRUE(claims.tryAcquire(42));
     EXPECT_TRUE(fs::exists(claims.pathOf(42)));
     // A fresh claim is not re-acquirable, not even by its holder
@@ -73,11 +84,23 @@ TEST(Claims, ClaimFileCarriesWorkerId)
     std::string dir = freshDir("id");
     ClaimDir claims(dir, "host-a:123", 60.0);
     ASSERT_TRUE(claims.tryAcquire(7));
-    ClaimInfo info;
-    ASSERT_TRUE(claims.info(7, info));
-    EXPECT_EQ(info.worker, "host-a:123");
-    EXPECT_GE(info.ageSeconds, 0.0);
-    EXPECT_LT(info.ageSeconds, 30.0);
+    EXPECT_EQ(claimWorker(claims.pathOf(7)), "host-a:123");
+}
+
+TEST(Claims, LiveMeansFreshHeartbeat)
+{
+    std::string dir = freshDir("live");
+    ClaimDir holder(dir, "holder", 60.0);
+    ClaimDir observer(dir, "observer", 60.0);
+    EXPECT_FALSE(observer.live(8)); // no claim file
+    ASSERT_TRUE(holder.tryAcquire(8));
+    EXPECT_TRUE(observer.live(8));
+    backdateClaim(holder.pathOf(8), 120.0);
+    EXPECT_FALSE(observer.live(8)); // heartbeat past the TTL
+    holder.heartbeatHeld();
+    EXPECT_TRUE(observer.live(8));
+    holder.release(8);
+    EXPECT_FALSE(observer.live(8));
 }
 
 TEST(Claims, RaceExactlyOneWinner)
@@ -115,9 +138,7 @@ TEST(Claims, FreshClaimNotStolen)
     EXPECT_FALSE(b.tryAcquire(1));
     EXPECT_EQ(b.stolen(), 0u);
     // The holder's identity survived the failed theft.
-    ClaimInfo info;
-    ASSERT_TRUE(b.info(1, info));
-    EXPECT_EQ(info.worker, "alive");
+    EXPECT_EQ(claimWorker(b.pathOf(1)), "alive");
 }
 
 TEST(Claims, ExpiredClaimStolen)
@@ -129,9 +150,7 @@ TEST(Claims, ExpiredClaimStolen)
     backdateClaim(dead.pathOf(5), 120.0);
     EXPECT_TRUE(thief.tryAcquire(5));
     EXPECT_EQ(thief.stolen(), 1u);
-    ClaimInfo info;
-    ASSERT_TRUE(thief.info(5, info));
-    EXPECT_EQ(info.worker, "thief");
+    EXPECT_EQ(claimWorker(thief.pathOf(5)), "thief");
 }
 
 TEST(Claims, HeartbeatPreventsTheft)
@@ -162,13 +181,12 @@ TEST(Claims, SweepRemovesOnlyStale)
     EXPECT_FALSE(other.sweepIfStale(1));
 }
 
-TEST(Claims, DisabledDirAlwaysAcquires)
+TEST(ClaimsDeath, EmptyDirRefused)
 {
-    ClaimDir claims("", "w", 60.0);
-    EXPECT_FALSE(claims.enabled());
-    EXPECT_TRUE(claims.tryAcquire(1));
-    EXPECT_TRUE(claims.tryAcquire(1));
-    claims.release(1);
+    // Claims live in the shared cache directory; there is no
+    // claim-less mode.
+    EXPECT_EXIT(ClaimDir("", "w", 60.0), testing::ExitedWithCode(1),
+                "no claim directory");
 }
 
 /** A queue fixture: cache + claims over one fresh directory. */

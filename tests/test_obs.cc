@@ -566,7 +566,7 @@ TEST(TracedCampaign, ExpandEmitsPhaseSpans)
     obs::traceReset();
     obs::traceEnable();
     Campaign campaign(machine, spec);
-    CampaignExpansion ex = campaign.expand(arch);
+    CampaignResult ex = campaign.expand(arch);
     obs::traceDisable();
 
     std::map<std::string, std::vector<std::string>> ends;
@@ -587,6 +587,83 @@ TEST(TracedCampaign, ExpandEmitsPhaseSpans)
     EXPECT_EQ(ends["bootstrap"].size(),
               arch.uarch().bootstrappedCount());
     obs::traceReset();
+}
+
+namespace
+{
+
+/** The programs of tinySpec(), generated without measuring. */
+std::vector<Program>
+tinyPrograms(Architecture &arch, const Machine &machine)
+{
+    CampaignResult ex = Campaign(machine, tinySpec()).expand(arch);
+    std::vector<Program> progs;
+    for (CampaignWorkload &w : ex.workloads)
+        progs.push_back(std::move(w.program));
+    return progs;
+}
+
+} // namespace
+
+TEST(TracedCampaign, MeasureEmitsOneMeasureSpan)
+{
+    // Benches and the model pipeline measure through measure(),
+    // which runs the same measurement phase as run().
+    Architecture arch = Architecture::get("POWER7");
+    Machine machine{arch.isa()};
+    std::vector<Program> progs = tinyPrograms(arch, machine);
+    const std::vector<ChipConfig> cfgs = {{1, 1}, {2, 1}};
+    obs::traceReset();
+    obs::traceEnable();
+    Campaign campaign(machine, measurementSpec(2));
+    std::vector<Sample> samples = campaign.measure(progs, cfgs);
+    obs::traceDisable();
+
+    std::map<std::string, std::vector<std::string>> ends;
+    for (const ParsedEvent &e : parseTrace(traceJson()))
+        if (e.phase == 'E')
+            ends[e.name].push_back(e.args);
+    ASSERT_EQ(ends["campaign.measure"].size(), 1u);
+    EXPECT_NE(ends["campaign.measure"][0].find(
+                  cat("\"jobs\": ", samples.size())),
+              std::string::npos)
+        << ends["campaign.measure"][0];
+    EXPECT_EQ(samples.size(), progs.size() * cfgs.size());
+    EXPECT_EQ(ends["campaign.job"].size(), samples.size());
+    obs::traceReset();
+}
+
+TEST(Metrics, MeasureCountsRejectedEntryAsCorrupt)
+{
+    // A cache entry that is another job's is rejected and
+    // re-measured; measure() syncs the rejection into the
+    // registry's cache_corrupt as run() does.
+    setLogLevel(LogLevel::Quiet);
+    Architecture arch = Architecture::get("POWER7");
+    Machine machine{arch.isa()};
+    std::vector<Program> progs = tinyPrograms(arch, machine);
+    const std::vector<ChipConfig> cfgs = {{1, 1}, {2, 1}};
+    CampaignSpec spec = measurementSpec(1, freshCacheDir("swap"));
+    std::vector<Sample> ref = Campaign(machine, spec).measure(progs, cfgs);
+
+    CampaignManifest m;
+    ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
+    ASSERT_GE(m.entries.size(), 2u);
+    ResultCache cache(spec.cacheDir);
+    std::filesystem::copy_file(
+        cache.pathOf(m.entries[0].key), cache.pathOf(m.entries[1].key),
+        std::filesystem::copy_options::overwrite_existing);
+
+    obs::metricsReset();
+    Campaign campaign(machine, spec);
+    std::vector<Sample> again = campaign.measure(progs, cfgs);
+    EXPECT_EQ(campaign.cacheCorrupt(), 1u);
+    EXPECT_EQ(obs::counter("cache_corrupt").value(), 1u);
+    ASSERT_EQ(again.size(), ref.size());
+    for (size_t i = 0; i < ref.size(); ++i)
+        EXPECT_EQ(sampleToText(again[i]), sampleToText(ref[i])) << i;
+    obs::metricsReset();
+    setLogLevel(LogLevel::Normal);
 }
 
 namespace

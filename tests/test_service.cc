@@ -219,4 +219,15 @@ TEST(Service, IngestsSpecsWhileRunning)
     EXPECT_TRUE(statuses[1].complete);
 }
 
+TEST(ServiceDeath, MissingCacheDirFatalWithServiceMessage)
+{
+    // The service names its required directories itself, before the
+    // claim directory would refuse the empty path.
+    ServiceOptions opts = testOptions("no-cache");
+    opts.cacheDir.clear();
+    EXPECT_EXIT(CampaignService{opts}, testing::ExitedWithCode(1),
+                "--drop-dir, --cache-dir and --results-dir are all "
+                "required");
+}
+
 } // namespace

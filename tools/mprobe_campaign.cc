@@ -41,41 +41,52 @@ using namespace mprobe;
 namespace
 {
 
-/** "4-2", "4-2 @2.5GHz" or "4-2 @2.5GHz @0.92V" deployment label
- * of a manifest entry. */
-std::string
-entryPoint(const ManifestEntry &e)
+/**
+ * Print the first 20 of @p entries, one "  <label>: workload @
+ * 4-2 @2.5GHz @0.92V (source)" line each (the operating point only
+ * where swept), then how many more there are.
+ */
+void
+listEntries(const char *label, const std::vector<ManifestEntry> &entries)
 {
-    std::string label = e.config.label();
-    if (e.freqGhz > 0.0)
-        label = cat(label, " @", e.freqGhz, "GHz");
-    if (e.vdd > 0.0)
-        label = cat(label, " @", e.vdd, "V");
-    return label;
+    const size_t list_cap = 20;
+    for (size_t i = 0; i < entries.size() && i < list_cap; ++i) {
+        const ManifestEntry &e = entries[i];
+        std::cout << "  " << label << ": " << e.workload << " @ "
+                  << e.config.label();
+        if (e.freqGhz > 0.0)
+            std::cout << " @" << e.freqGhz << "GHz";
+        if (e.vdd > 0.0)
+            std::cout << " @" << e.vdd << "V";
+        std::cout << " (" << e.source << ")\n";
+    }
+    if (entries.size() > list_cap)
+        std::cout << "  ... and " << entries.size() - list_cap << " more\n";
 }
 
 /**
- * Resume reporting: load the manifest persisted next to the cache
- * and list what an interrupted run left unfinished. The run that
- * follows completes exactly those jobs — finished ones are cache
- * hits by construction.
+ * Resume reporting: load the campaign's manifest and list what an
+ * interrupted run left unfinished — the entries --merge would
+ * report missing, so a cache entry that is another job's counts as
+ * unfinished. The run that follows completes exactly those jobs.
  */
 void
-reportResume(const CampaignSpec &spec, uint64_t machine_fp)
+reportResume(const CampaignSpec &spec, const Machine &machine)
 {
     if (spec.cacheDir.empty())
         fatal("--resume needs a cache directory (--cache-dir or "
-              "cache_dir in the spec): the manifest lives there");
+              "cache_dir in the spec): the results live there");
+    const std::string &mdir = spec.manifestDirectory();
     CampaignManifest m;
-    if (!loadManifest(manifestPath(spec.cacheDir), m))
-        fatal(cat("--resume: no manifest under '", spec.cacheDir,
+    if (!loadManifest(manifestPath(mdir), m))
+        fatal(cat("--resume: no manifest under '", mdir,
                   "' — nothing to resume (run a campaign with "
                   "this cache directory first)"));
     // Compare job-key-relevant content, not the summary string: a
     // different worker count is the same campaign; a different
     // body size / seed / salt / config set / machine is not, even
     // when the summaries read identically.
-    if (m.fingerprint != campaignFingerprint(spec, machine_fp)) {
+    if (m.fingerprint != campaignFingerprint(spec, machine.fingerprint())) {
         warn(cat("--resume: spec mismatch; the manifest was "
                  "written by \"", m.spec, "\" with different "
                  "content — its progress does not apply to this "
@@ -84,19 +95,13 @@ reportResume(const CampaignSpec &spec, uint64_t machine_fp)
         return;
     }
     ResultCache probe(spec.cacheDir);
-    auto rem = remainingJobs(m, probe);
+    std::vector<ManifestEntry> rem =
+        collectManifestSamples(m, probe, machine).missing;
     std::cout << "resume: " << m.entries.size() - rem.size()
               << " of " << m.entries.size()
               << " jobs already measured, " << rem.size()
               << " remaining\n";
-    const size_t list_cap = 20;
-    for (size_t i = 0; i < rem.size() && i < list_cap; ++i)
-        std::cout << "  todo: " << rem[i].workload << " @ "
-                  << entryPoint(rem[i]) << " (" << rem[i].source
-                  << ")\n";
-    if (rem.size() > list_cap)
-        std::cout << "  ... and " << rem.size() - list_cap
-                  << " more\n";
+    listEntries("todo", rem);
     if (rem.empty())
         std::cout << "campaign is already complete; re-running "
                      "only re-exports\n";
@@ -308,11 +313,10 @@ runCalibrate(const std::string &metrics_path)
  *   5  manifest present but some jobs are unfinished
  */
 [[noreturn]] void
-runMerge(const std::string &cache_dir,
-         const std::string &manifest_dir, double claim_ttl,
-         const Machine &machine, const std::string &csv,
-         const std::string &json)
+runMerge(const CampaignSpec &spec, const Machine &machine,
+         const std::string &csv, const std::string &json)
 {
+    const std::string &cache_dir = spec.cacheDir;
     if (cache_dir.empty())
         fatal("--merge needs a cache directory (--cache-dir or "
               "cache_dir in the spec): the manifest and the "
@@ -326,8 +330,7 @@ runMerge(const std::string &cache_dir,
                      "create it on their first run)\n";
         std::exit(3);
     }
-    const std::string mdir =
-        manifest_dir.empty() ? cache_dir : manifest_dir;
+    const std::string &mdir = spec.manifestDirectory();
     CampaignManifest m;
     if (!loadManifest(manifestPath(mdir), m)) {
         std::cout << "merge: no manifest under '" << mdir
@@ -342,29 +345,16 @@ runMerge(const std::string &cache_dir,
         // Distinguish "workers still running" from "work
         // abandoned": a fresh claim file on a missing job means a
         // live worker holds it right now.
-        ClaimDir claims(cache_dir, "", claim_ttl);
+        ClaimDir claims(cache_dir, "", spec.claimTtlSeconds);
         size_t claimed = 0;
-        for (const ManifestEntry &e : col.missing) {
-            ClaimInfo info;
-            if (claims.info(e.key, info) &&
-                info.ageSeconds >= 0.0 &&
-                info.ageSeconds <= claims.ttlSeconds())
+        for (const ManifestEntry &e : col.missing)
+            if (claims.live(e.key))
                 ++claimed;
-        }
         std::cout << "merge: manifest present but "
                   << col.missing.size() << " of "
                   << m.entries.size() << " jobs unfinished ("
                   << claimed << " currently claimed)\n";
-        const size_t list_cap = 20;
-        for (size_t i = 0;
-             i < col.missing.size() && i < list_cap; ++i)
-            std::cout << "  missing: " << col.missing[i].workload
-                      << " @ " << entryPoint(col.missing[i])
-                      << " (" << col.missing[i].source << ")\n";
-        if (col.missing.size() > list_cap)
-            std::cout << "  ... and "
-                      << col.missing.size() - list_cap
-                      << " more\n";
+        listEntries("missing", col.missing);
         if (claimed > 0)
             std::cout << "workers are still on the job — wait "
                          "and merge again\n";
@@ -532,7 +522,9 @@ main(int argc, char **argv)
                    "them");
     args.addFlag("resume",
                  "list the jobs an interrupted campaign left "
-                 "unfinished (from the cache-dir manifest), then "
+                 "unfinished (the manifest's jobs whose cache entry "
+                 "is missing or not theirs; the manifest is read "
+                 "from --manifest-dir, else the cache dir), then "
                  "complete only those");
     args.addOption("trace", "",
                    "record a Chrome trace-event timeline of this "
@@ -618,15 +610,13 @@ main(int argc, char **argv)
         if (args.getFlag("resume") || spec.sharded() || spec.serve)
             fatal("--merge is a standalone step; it does not "
                   "combine with --shard, --serve or --resume");
-        runMerge(spec.cacheDir, spec.manifestDir,
-                 spec.claimTtlSeconds, machine, args.get("csv"),
-                 args.get("json"));
+        runMerge(spec, machine, args.get("csv"), args.get("json"));
     }
 
     std::cout << spec.summary() << "\n";
 
     if (args.getFlag("resume"))
-        reportResume(spec, machine.fingerprint());
+        reportResume(spec, machine);
 
     Campaign campaign(machine, spec);
     CampaignResult res = campaign.run(arch);
