@@ -107,8 +107,8 @@ class ResultCache
 
     /**
      * Read the entry for @p key without touching hits()/misses():
-     * how --merge, serve collection and the service's final export
-     * gather results other workers measured. A rejected entry
+     * how --merge, serve collection and the service's partial
+     * exports gather results other workers measured. A rejected entry
      * counts in corrupt() and warns, as in lookup().
      */
     bool peek(uint64_t key, const SampleIdentity &expect,

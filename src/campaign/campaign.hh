@@ -165,11 +165,12 @@ SampleIdentity jobIdentity(const Machine &machine,
                            const std::string &workload);
 
 /**
- * The one place a job becomes a sample. Plain runs, --serve workers
- * and the service look up, measure, store and collect through it,
- * so the salt, the operating point, the cache traffic, the span and
- * the histogram agree on every path. It holds only references; one
- * executor serves every worker thread.
+ * The one place a job becomes a sample. Plain runs and --serve
+ * workers (the service measures each campaign as one) look up,
+ * measure, store and collect through it, so the salt, the operating
+ * point, the cache traffic, the span and the histogram agree on
+ * every path. It holds only references; one executor serves every
+ * worker thread.
  */
 class JobExecutor
 {
@@ -253,9 +254,19 @@ class Campaign
      * so), expand the full job list and persist the manifest,
      * without measuring anything; the result has no samples. The
      * drop-directory service ingests new campaigns through this
-     * entry and feeds the jobs into its shared claim pool.
+     * entry and measures them later through measureJobs().
      */
     CampaignResult expand(Architecture &arch);
+
+    /**
+     * The measurement phase of @p res's jobs, for run(), measure()
+     * and the drop-directory service alike: fills the samples,
+     * per-job seconds and cache flags, the cache and claim
+     * statistics and measureSeconds, inside one campaign.measure
+     * span, and syncs cache_corrupt into the metrics registry.
+     * Dispatches to runClaimed under `spec.serve`, else to runJobs.
+     */
+    void measureJobs(CampaignResult &res);
 
     /**
      * Lower-level entry: measure an explicit workload list across
@@ -313,15 +324,6 @@ class Campaign
     expandJobs(const std::vector<CampaignWorkload> &workloads,
                const std::vector<std::vector<ChipConfig>> &configs_per)
         const;
-
-    /**
-     * The measurement phase of @p res's jobs, for run() and
-     * measure() alike: fills the samples, per-job seconds and cache
-     * flags, the cache and claim statistics and measureSeconds,
-     * inside one campaign.measure span. Dispatches to runClaimed
-     * under `spec.serve`, else to runJobs.
-     */
-    void measureJobs(CampaignResult &res);
 
     /**
      * Execute @p res's jobs on the pool into their pre-sized slots.

@@ -214,17 +214,11 @@ ClaimedQueue::ClaimedQueue(const ResultCache &c, ClaimDir &cl,
                            std::vector<PoolJob> jobs)
     : cache(c), claims(cl)
 {
-    push(jobs);
-}
-
-void
-ClaimedQueue::push(const std::vector<PoolJob> &jobs)
-{
     MutexLock lock(mutex);
     for (const PoolJob &j : jobs)
         entries.push_back({j, false, false});
-    // Descending cost, ties by ascending key for a stable pull
-    // order no matter how campaigns were ingested interleaved.
+    // Descending cost, ties by ascending key for a pull order that
+    // does not depend on the input order.
     std::stable_sort(entries.begin(), entries.end(),
                      [](const Entry &a, const Entry &b) {
                          if (a.job.cost != b.job.cost)

@@ -25,12 +25,12 @@
  *
  * ClaimedQueue layers pool semantics on top: any number of
  * `mprobe_campaign --serve` workers (and the drop-directory service
- * of src/service/) pull jobs from the manifest-defined pool in
- * cost order, skip jobs whose results are already cached, wait on
- * jobs freshly claimed by live peers, and steal them once the
- * claim expires. A pool is drained exactly when every job's result
- * is in the cache — at which point any worker can assemble the
- * complete, byte-identical export.
+ * of src/service/, which measures each campaign as one) pull jobs
+ * from the manifest-defined pool in cost order, skip jobs whose
+ * results are already cached, wait on jobs freshly claimed by live
+ * peers, and steal them once the claim expires. A pool is drained
+ * exactly when every job's result is in the cache — at which point
+ * any worker can assemble the complete, byte-identical export.
  */
 
 #ifndef CAMPAIGN_CLAIMS_HH
@@ -193,11 +193,7 @@ class ClaimedQueue
      * order regardless of input order.
      */
     ClaimedQueue(const ResultCache &cache, ClaimDir &claims,
-                 std::vector<PoolJob> jobs = {});
-
-    /** Append more pool jobs (the service ingests new campaigns
-     * while workers pull; cost order is maintained). */
-    void push(const std::vector<PoolJob> &jobs);
+                 std::vector<PoolJob> jobs);
 
     /**
      * Pull the next runnable job. On Pull::Job, @p out_index is
@@ -238,7 +234,7 @@ class ClaimedQueue
         bool running = false;
     };
     mutable Mutex mutex;
-    /** The pool, kept in descending cost order by push(). */
+    /** The pool, in descending cost order. */
     std::vector<Entry> entries GUARDED_BY(mutex);
     std::atomic<size_t> nPeer{0};
 };

@@ -6,6 +6,7 @@
 #include "campaign/spec.hh"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -82,9 +83,15 @@ parseConfigList(const std::string &s, const std::string &context)
         if (parts.size() != 2)
             fatal(cat("bad config '", trim(c),
                       "' (want cores-smt) in ", context));
-        out.push_back(
-            {static_cast<int>(parseInt(parts[0], context)),
-             static_cast<int>(parseInt(parts[1], context))});
+        const long cores = parseInt(parts[0], context);
+        const long smt = parseInt(parts[1], context);
+        ChipConfig cfg{static_cast<int>(cores), static_cast<int>(smt)};
+        // The round trip catches a value that wraps into range.
+        if (cfg.cores != cores || cfg.smt != smt || !cfg.valid())
+            fatal(cat("bad config '", trim(c),
+                      "' (want 1-8 cores and SMT 1, 2 or 4) in ",
+                      context));
+        out.push_back(cfg);
     }
     if (out.empty())
         fatal(cat("empty config list in ", context));
@@ -181,6 +188,17 @@ applySpecSetting(CampaignSpec &spec, const std::string &key,
 {
     auto integer = [&]() { return parseInt(value, context); };
     auto flag = [&]() { return integer() != 0; };
+    // A size or count the generators cannot take wraps or vanishes
+    // silently downstream, so it is refused here.
+    auto atLeast = [&](long min) {
+        long v = integer();
+        if (v < min)
+            fatal(cat(key, " must be >= ", min, " in ", context));
+        if (v > std::numeric_limits<int>::max())
+            fatal(cat(key, " must be <= ", std::numeric_limits<int>::max(),
+                      " in ", context));
+        return static_cast<int>(v);
+    };
     if (key == "categories") {
         spec.suiteEnabled = false;
         spec.categories.clear();
@@ -233,19 +251,20 @@ applySpecSetting(CampaignSpec &spec, const std::string &key,
     } else if (key == "seed") {
         spec.suite.seed = static_cast<uint64_t>(integer());
     } else if (key == "body_size") {
-        spec.suite.bodySize = static_cast<size_t>(integer());
+        // SkeletonPass needs room for at least two instructions.
+        spec.suite.bodySize = static_cast<size_t>(atLeast(2));
     } else if (key == "per_memory_group") {
-        spec.suite.perMemoryGroup = static_cast<int>(integer());
+        spec.suite.perMemoryGroup = atLeast(0);
     } else if (key == "memory_count") {
-        spec.suite.memoryCount = static_cast<int>(integer());
+        spec.suite.memoryCount = atLeast(0);
     } else if (key == "random_count") {
-        spec.suite.randomCount = static_cast<int>(integer());
+        spec.suite.randomCount = atLeast(0);
     } else if (key == "ipc_search_budget") {
-        spec.suite.ipcSearchBudget = static_cast<int>(integer());
+        spec.suite.ipcSearchBudget = atLeast(0);
     } else if (key == "ga_population") {
-        spec.suite.gaPopulation = static_cast<int>(integer());
+        spec.suite.gaPopulation = atLeast(0);
     } else if (key == "ga_generations") {
-        spec.suite.gaGenerations = static_cast<int>(integer());
+        spec.suite.gaGenerations = atLeast(0);
     } else if (key == "extend_unit_mix") {
         spec.suite.extendUnitMix = flag();
     } else {

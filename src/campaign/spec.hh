@@ -173,10 +173,6 @@ struct CampaignSpec
         return manifestDir.empty() ? cacheDir : manifestDir;
     }
 
-    /** Workloads per config is not knowable before generation, but
-     * configs-per-workload is: */
-    size_t configCount() const { return configs.size(); }
-
     /** Human-readable one-line summary for banners/logs. */
     std::string summary() const;
 
@@ -210,7 +206,8 @@ CampaignSpec parseCampaignSpecText(const std::string &text,
 /** Load and parse a spec file. */
 CampaignSpec loadCampaignSpec(const std::string &path);
 
-/** Parse "all" or a comma-separated "cores-smt" list. */
+/** Parse "all" or a comma-separated "cores-smt" list; a
+ * configuration outside ChipConfig::all() is fatal. */
 std::vector<ChipConfig> parseConfigList(const std::string &s,
                                         const std::string &context);
 

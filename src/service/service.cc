@@ -23,10 +23,10 @@ namespace mprobe
 namespace fs = std::filesystem;
 
 CampaignService::ActiveCampaign::ActiveCampaign(std::string name_,
-                                                CampaignSpec spec_,
+                                                CampaignSpec spec,
                                                 Architecture arch_)
-    : name(std::move(name_)), spec(std::move(spec_)),
-      arch(std::move(arch_)), machine(arch.machine())
+    : name(std::move(name_)), arch(std::move(arch_)),
+      machine(arch.machine()), campaign(machine, std::move(spec))
 {
 }
 
@@ -48,12 +48,24 @@ checkedOptions(ServiceOptions o)
     return o;
 }
 
+/** @p samples as `<base>.csv` and `<base>.json`, each written
+ * atomically so a client polling the results never reads a torn
+ * file. */
+void
+writeExports(const std::string &base, const std::vector<Sample> &samples)
+{
+    std::ostringstream csv, json;
+    exportSamplesCsv(csv, samples);
+    exportSamplesJson(json, samples);
+    atomicWriteFile(base + ".csv", csv.str(), "service export");
+    atomicWriteFile(base + ".json", json.str(), "service export");
+}
+
 } // namespace
 
 CampaignService::CampaignService(ServiceOptions o)
     : opts(checkedOptions(std::move(o))), cache(opts.cacheDir),
-      claims(opts.cacheDir, opts.workerId, opts.claimTtlSeconds),
-      queue(cache, claims)
+      claims(opts.cacheDir, opts.workerId, opts.claimTtlSeconds)
 {
     std::error_code ec;
     fs::create_directories(opts.dropDir, ec);
@@ -69,9 +81,8 @@ CampaignService::CampaignService(ServiceOptions o)
 CampaignService::~CampaignService()
 {
     stopRequested.store(true);
-    for (auto &w : workers)
-        if (w.joinable())
-            w.join();
+    if (runner.joinable())
+        runner.join();
 }
 
 std::string
@@ -91,49 +102,42 @@ CampaignService::ingestSpec(const std::string &path)
         ScopedFatalThrows guard;
         obs::TraceSpan span("service.ingest");
         CampaignSpec spec = loadCampaignSpec(path);
-        if (spec.sharded() || spec.serve)
+        if (spec.sharded())
             warn(cat("service: campaign '", name,
-                     "': shard/serve keys are meaningless under "
-                     "the service (the pool is dynamic) and were "
+                     "': the shard key is meaningless under the "
+                     "service (the pool is dynamic) and was "
                      "ignored"));
-        // The service owns execution: one shared cache + claim
-        // pool, a per-campaign manifest directory, and serial
-        // generation (the guard above is thread-local, so fatal()
-        // on a generation worker thread would still exit).
+        // The service owns execution: every campaign is a --serve
+        // worker on the service's cache, threads, claim TTL, poll
+        // and worker id, with a per-campaign manifest directory and
+        // serial generation (the guard above is thread-local, so
+        // fatal() on a generation worker thread would still exit).
         spec.cacheDir = opts.cacheDir;
         spec.manifestDir = campaignDir(name);
-        spec.serve = false;
+        spec.serve = true;
         spec.shardIndex = 0;
         spec.shardCount = 1;
-        spec.threads = 1;
+        spec.threads = opts.threads;
+        spec.claimTtlSeconds = opts.claimTtlSeconds;
+        spec.claimPollSeconds = opts.pollSeconds;
+        spec.workerId = claims.workerId();
         spec.suite.threads = 1;
 
         auto c = std::make_unique<ActiveCampaign>(
             name, std::move(spec),
             Architecture::get(opts.archName));
         inform(cat("service: ingesting campaign '", name, "' (",
-                   c->spec.contentSummary(), ")"));
-        Campaign campaign(c->machine, c->spec);
-        CampaignResult ex = campaign.expand(c->arch);
-        c->workloads = std::move(ex.workloads);
-        c->jobs = std::move(ex.jobs);
-        c->done.assign(c->jobs.size(), 0);
-
-        std::vector<PoolJob> pjobs;
-        pjobs.reserve(c->jobs.size());
+                   c->campaign.specRef().contentSummary(), ")"));
+        c->result = c->campaign.expand(c->arch);
+        c->done.assign(c->result.jobs.size(), 0);
+        const size_t jobs = c->result.jobs.size();
         {
             MutexLock lock(mutex);
-            for (size_t j = 0; j < c->jobs.size(); ++j) {
-                pjobs.push_back({c->jobs[j].key, pool.size(),
-                                 c->jobs[j].cost});
-                pool.push_back({c.get(), j});
-            }
             campaigns.push_back(std::move(c));
         }
-        queue.push(pjobs);
         obs::counter("specs_ingested").add();
-        inform(cat("service: campaign '", name, "' queued (",
-                   pjobs.size(), " jobs in the shared pool)"));
+        inform(cat("service: campaign '", name, "' queued (", jobs,
+                   " jobs)"));
         return true;
     } catch (const FatalError &e) {
         warn(cat("service: dropped spec '", path,
@@ -184,11 +188,11 @@ CampaignService::writeStatusJson(
     os << "{\n"
        << "  \"schema_version\": 2,\n"
        << "  \"campaign\": \"" << jsonEscape(c.name) << "\",\n"
-       << "  \"spec\": \"" << jsonEscape(c.spec.contentSummary())
-       << "\",\n"
+       << "  \"spec\": \""
+       << jsonEscape(c.campaign.specRef().contentSummary()) << "\",\n"
        << "  \"state\": \""
        << (c.complete ? "complete" : "running") << "\",\n"
-       << "  \"total_jobs\": " << c.jobs.size() << ",\n"
+       << "  \"total_jobs\": " << c.result.jobs.size() << ",\n"
        << "  \"done_jobs\": " << c.doneCount << ",\n"
        << "  \"claimed_jobs\": " << claimed << ",\n"
        << "  \"metrics\": ";
@@ -223,50 +227,27 @@ CampaignService::updateStatus()
     MutexLock lock(mutex);
     for (auto &cp : campaigns) {
         ActiveCampaign &c = *cp;
-        if (c.complete)
+        if (c.reported)
             continue;
-        // Fold in peer progress: jobs this process never ran but
-        // whose results appeared in the shared cache.
+        if (c.complete) {
+            // The runner has written the final exports.
+            writeStatusJson(c, 0, fleet);
+            c.reported = true;
+            continue;
+        }
+        // Progress is what the shared cache holds, whoever measured
+        // it.
+        const std::vector<CampaignJob> &jobs = c.result.jobs;
         size_t claimed = 0;
-        for (size_t j = 0; j < c.jobs.size(); ++j) {
+        for (size_t j = 0; j < jobs.size(); ++j) {
             if (!c.done[j]) {
-                if (cache.contains(c.jobs[j].key)) {
+                if (cache.contains(jobs[j].key)) {
                     c.done[j] = 1;
                     ++c.doneCount;
-                } else if (claims.live(c.jobs[j].key)) {
+                } else if (claims.live(jobs[j].key)) {
                     ++claimed;
                 }
             }
-        }
-        bool finished = c.doneCount == c.jobs.size();
-        if (finished) {
-            // Final export: every job, manifest (= job) order —
-            // byte-identical to a standalone run of the spec. A
-            // cached entry gone corrupt since the drain is
-            // re-measured here rather than exported as a hole.
-            std::vector<Sample> samples(c.jobs.size());
-            JobExecutor exec(c.machine, cache);
-            for (size_t j = 0; j < c.jobs.size(); ++j) {
-                const CampaignJob &job = c.jobs[j];
-                if (exec.collect(job, c.workloads[job.workload].program,
-                                 samples[j]))
-                    warn(cat("service: campaign '", c.name, "': job ",
-                             j, " vanished from the cache or was "
-                             "rejected; re-measured it"));
-            }
-            std::ostringstream csv, json;
-            exportSamplesCsv(csv, samples);
-            exportSamplesJson(json, samples);
-            atomicWriteFile(campaignDir(c.name) + "/samples.csv",
-                            csv.str(), "service export");
-            atomicWriteFile(campaignDir(c.name) + "/samples.json",
-                            json.str(), "service export");
-            c.complete = true;
-            writeStatusJson(c, 0, fleet);
-            inform(cat("service: campaign '", c.name,
-                       "' complete (", c.jobs.size(),
-                       " samples exported)"));
-            continue;
         }
         if (c.doneCount != c.exportedDone) {
             // Incremental results: the samples measured so far, in
@@ -274,24 +255,18 @@ CampaignService::updateStatus()
             // can start model fitting before the campaign ends.
             std::vector<Sample> partial;
             partial.reserve(c.doneCount);
-            for (size_t j = 0; j < c.jobs.size(); ++j) {
+            for (size_t j = 0; j < jobs.size(); ++j) {
                 if (!c.done[j])
                     continue;
-                const CampaignJob &job = c.jobs[j];
+                const CampaignJob &job = jobs[j];
                 const Program &prog =
-                    c.workloads[job.workload].program;
+                    c.result.workloads[job.workload].program;
                 auto id = jobIdentity(c.machine, job, prog.name);
                 Sample s;
                 if (cache.peek(job.key, id, s))
                     partial.push_back(std::move(s));
             }
-            std::ostringstream csv, json;
-            exportSamplesCsv(csv, partial);
-            exportSamplesJson(json, partial);
-            atomicWriteFile(campaignDir(c.name) + "/partial.csv",
-                            csv.str(), "service export");
-            atomicWriteFile(campaignDir(c.name) + "/partial.json",
-                            json.str(), "service export");
+            writeExports(campaignDir(c.name) + "/partial", partial);
             c.exportedDone = c.doneCount;
         }
         writeStatusJson(c, claimed, fleet);
@@ -299,39 +274,40 @@ CampaignService::updateStatus()
 }
 
 void
-CampaignService::drainLoop()
+CampaignService::measureLoop()
 {
     while (!stopRequested.load()) {
-        size_t gi = 0;
-        ClaimedQueue::Pull pull = queue.next(gi);
-        if (pull != ClaimedQueue::Pull::Job) {
-            // Wait: live peers hold everything open. Drained: the
-            // pool is momentarily empty, but the watcher may
-            // ingest more work — only stopRequested ends a
-            // worker.
+        ActiveCampaign *next = nullptr;
+        {
+            MutexLock lock(mutex);
+            for (const auto &cp : campaigns)
+                if (!cp->complete) {
+                    next = cp.get();
+                    break;
+                }
+        }
+        if (!next) {
             std::this_thread::sleep_for(
                 std::chrono::duration<double>(opts.pollSeconds));
             continue;
         }
-        PoolRef ref;
+        // The campaign's own --serve worker: it returns once every
+        // job is in the cache, with every sample in job order
+        // (peer-measured ones collected, vanished ones re-measured).
+        ActiveCampaign &c = *next;
+        c.campaign.measureJobs(c.result);
+        writeExports(campaignDir(c.name) + "/samples", c.result.samples);
+        // The exports hold the samples now; a long-lived service
+        // keeps only each campaign's expansion.
+        c.result.samples = {};
+        const size_t jobs = c.result.jobs.size();
         {
             MutexLock lock(mutex);
-            ref = pool[gi];
+            c.doneCount = jobs;
+            c.complete = true;
         }
-        ActiveCampaign &c = *ref.campaign;
-        const CampaignJob &job = c.jobs[ref.job];
-        Sample s;
-        JobExecutor(c.machine, cache)
-            .run(job, c.workloads[job.workload].program, s);
-        jobsRun.fetch_add(1);
-        queue.complete(gi);
-        {
-            MutexLock lock(mutex);
-            if (!c.done[ref.job]) {
-                c.done[ref.job] = 1;
-                ++c.doneCount;
-            }
-        }
+        inform(cat("service: campaign '", c.name, "' complete (", jobs,
+                   " samples exported)"));
     }
 }
 
@@ -342,8 +318,8 @@ CampaignService::statuses() const
     std::vector<ServiceCampaignStatus> out;
     out.reserve(campaigns.size());
     for (const auto &cp : campaigns)
-        out.push_back(
-            {cp->name, cp->jobs.size(), cp->doneCount, cp->complete});
+        out.push_back({cp->name, cp->result.jobs.size(), cp->doneCount,
+                       cp->complete});
     return out;
 }
 
@@ -355,28 +331,10 @@ CampaignService::run()
                opts.cacheDir, ", results ", opts.resultsDir,
                ") as worker ", claims.workerId(), " with ",
                threads, threads == 1 ? " thread" : " threads"));
-    workers.reserve(static_cast<size_t>(threads));
-    for (int t = 0; t < threads; ++t)
-        workers.emplace_back([this]() { drainLoop(); });
-
-    // lint: wallclock-ok(worker-telemetry heartbeat only)
-    using clock = std::chrono::steady_clock;
-    const auto t0 = clock::now();
-    // This worker's fleet-telemetry heartbeat: published every
-    // watcher pass, read back (with every peer's) by updateStatus
-    // into the status.json workers table.
-    auto publishTelemetry = [&]() {
-        claims.publishTelemetry(
-            cache, jobsRun.load(),
-            std::chrono::duration<double>(clock::now() - t0).count());
-    };
+    runner = std::thread([this]() { measureLoop(); });
 
     while (!stopRequested.load()) {
         size_t ingested = ingestScan();
-        // One live thread refreshing every held claim keeps
-        // single-worker fleets from stealing their own long jobs.
-        claims.heartbeatHeld();
-        publishTelemetry();
         updateStatus();
         bool idle;
         {
@@ -393,13 +351,9 @@ CampaignService::run()
     }
 
     stopRequested.store(true);
-    for (auto &w : workers)
-        w.join();
-    workers.clear();
-    // A final fold so completions that raced the loop exit still
-    // land in status.json / samples.csv — with this worker's last
-    // telemetry snapshot folded into the workers table first.
-    publishTelemetry();
+    runner.join();
+    // A final pass so a campaign the runner finished during the
+    // wind-down reports complete in status.json.
     updateStatus();
 
     MutexLock lock(mutex);

@@ -1,36 +1,36 @@
 /**
  * @file
- * Long-lived campaign service: async spec ingestion over a shared
- * claim pool.
+ * Long-lived campaign service: async spec ingestion, each campaign
+ * measured through the campaign engine's claim pool.
  *
  * The fleet shape the north star names — N clients submitting
  * characterization sweeps against one warm worker fleet — needs
  * more than one-shot `mprobe_campaign` invocations: campaigns must
- * be *submitted* while others run, and their jobs must share one
- * worker pool and one result cache. This subsystem provides that as
- * a drop-directory service:
+ * be *submitted* while others run, and share one worker fleet and
+ * one result cache. This subsystem provides that as a
+ * drop-directory service:
  *
  *   - clients submit a campaign by dropping a `<name>.spec` file
  *     (the campaign/spec.hh format) into the watched drop
  *     directory;
- *   - the service ingests each new spec while its workers run:
- *     generates the workloads, expands the job list, persists a
- *     per-campaign manifest under `<results>/<name>/`, and feeds
- *     the jobs into one shared claim pool (campaign/claims.hh),
- *     cost-ordered across *all* active campaigns via the
- *     JobCostModel estimates the jobs carry;
- *   - worker threads drain the pool through per-job claim files in
- *     the shared cache directory, so any number of service
- *     processes (and plain `mprobe_campaign --serve` workers on
- *     the same spec) cooperate, steal from dead peers, and never
- *     duplicate results;
+ *   - the watcher thread ingests each new spec while campaigns are
+ *     measured: Campaign::expand() generates the workloads, expands
+ *     the job list and persists a per-campaign manifest under
+ *     `<results>/<name>/`;
+ *   - one runner thread measures the ingested campaigns one after
+ *     another, in ingest order, each through
+ *     Campaign::measureJobs() as a `--serve` worker: its threads
+ *     take the campaign's jobs in cost order through per-job claim
+ *     files in the shared cache directory (campaign/claims.hh), so
+ *     any number of service processes (and plain `mprobe_campaign
+ *     --serve` workers on the same spec) cooperate, steal from dead
+ *     peers, and never duplicate results;
  *   - results stream incrementally: every poll pass each
  *     active campaign gets a fresh `status.json` plus partial
- *     CSV/JSON exports of the samples measured so far, and on
- *     completion the final `samples.csv`/`samples.json` — byte
+ *     CSV/JSON exports of the samples measured so far, and once
+ *     measured the final `samples.csv`/`samples.json` — byte
  *     identical to the export of a standalone run of the same
- *     spec, because exports are manifest-ordered cached samples
- *     either way.
+ *     spec, because both export the engine's job-ordered samples.
  */
 
 #ifndef SERVICE_SERVICE_HH
@@ -61,12 +61,14 @@ struct ServiceOptions
     /** Per-campaign output root: `<resultsDir>/<name>/` holds the
      * manifest, status.json and the sample exports. */
     std::string resultsDir;
-    /** Worker threads draining the pool (0 = one per hardware
-     * thread). */
+    /** Threads measuring each campaign, as its --serve worker
+     * threads (0 = one per hardware thread). */
     int threads = 0;
     /** Seconds between drop-directory scans (each also refreshes
-     * status.json and the partial exports), and a worker's sleep
-     * when live peers hold every remaining job. */
+     * status.json and the partial exports); also each campaign's
+     * claim poll (a measuring thread's sleep when live peers hold
+     * every remaining job) and the runner's wait for the next
+     * ingested campaign. */
     double pollSeconds = 1.0;
     /** Stale-claim TTL (campaign/claims.hh semantics). */
     double claimTtlSeconds = kDefaultClaimTtlSeconds;
@@ -96,11 +98,14 @@ class CampaignService
 {
   public:
     explicit CampaignService(ServiceOptions opts);
+    /** Stops and joins the runner thread, which holds `this`. */
     ~CampaignService();
+    CampaignService(const CampaignService &) = delete;
+    CampaignService &operator=(const CampaignService &) = delete;
 
     /**
-     * Run the service: spawn the worker pool, then loop scanning
-     * the drop directory, ingesting new specs and streaming
+     * Run the service: start the runner, then loop scanning the
+     * drop directory, ingesting new specs and streaming
      * per-campaign status/partial results, until idle
      * (opts.exitWhenIdle) or requestStop(). Returns the number of
      * campaigns that reached completion.
@@ -108,7 +113,8 @@ class CampaignService
     size_t run();
 
     /** Ask a running run() to wind down (thread-safe; returns
-     * immediately). */
+     * immediately). run() returns once the campaign being measured
+     * has finished; it starts no further campaign. */
     void requestStop() { stopRequested.store(true); }
 
     /** Snapshot of every ingested campaign's progress. */
@@ -116,53 +122,52 @@ class CampaignService
 
   private:
     /** One ingested campaign: its own architecture/machine (the
-     * bootstrap mutates the arch) plus expansion and progress. */
+     * bootstrap mutates the arch), its engine and expansion, and
+     * its progress. */
     struct ActiveCampaign
     {
         std::string name;
-        CampaignSpec spec;
         Architecture arch;
         Machine machine;
-        std::vector<CampaignWorkload> workloads;
-        std::vector<CampaignJob> jobs;
-        /** Per-job completion (run locally or observed cached). */
+        /** The ingested spec's engine: serve mode over the service's
+         * cache, with a per-campaign manifest directory. */
+        Campaign campaign;
+        /** expand()'s workloads and jobs; the runner's measurement
+         * fills in the samples. */
+        CampaignResult result;
+        /** Per-job completion observed in the cache (watcher). */
         std::vector<char> done;
         size_t doneCount = 0;
+        /** samples.csv/samples.json are written (runner). */
         bool complete = false;
+        /** status.json says complete (the watcher's last write). */
+        bool reported = false;
         /** Done count at the last partial export (skip rewriting
          * identical partials). */
         size_t exportedDone = static_cast<size_t>(-1);
 
-        ActiveCampaign(std::string name_, CampaignSpec spec_,
+        ActiveCampaign(std::string name_, CampaignSpec spec,
                        Architecture arch_);
     };
 
-    /** Pool-index -> (campaign, job) mapping for worker pulls. */
-    struct PoolRef
-    {
-        ActiveCampaign *campaign = nullptr;
-        size_t job = 0;
-    };
-
     ServiceOptions opts;
+    /** The watcher's view of the fleet's cache and claims: progress
+     * counts and partial exports. */
     ResultCache cache;
     ClaimDir claims;
-    ClaimedQueue queue;
-    /** Guards campaigns and pool: the watcher thread appends
-     * while workers resolve pool indices and the status writer
-     * reads progress. ActiveCampaign fields count as guarded too —
-     * every access path goes through these containers. */
+    /** Guards campaigns: the watcher thread appends and reports
+     * progress while the runner picks and completes campaigns.
+     * ActiveCampaign's progress fields count as guarded too. Its
+     * workloads and jobs never change once ingested, and only the
+     * runner touches its engine and measured fields. */
     mutable Mutex mutex;
     std::vector<std::unique_ptr<ActiveCampaign>> campaigns
         GUARDED_BY(mutex);
-    std::vector<PoolRef> pool GUARDED_BY(mutex);
     /** Touched only by the run() watcher thread (ingestScan);
      * needs no lock. */
     std::set<std::string> ingestedFiles;
     std::atomic<bool> stopRequested{false};
-    std::vector<std::thread> workers;
-    /** Jobs this process measured (worker-telemetry throughput). */
-    std::atomic<uint64_t> jobsRun{0};
+    std::thread runner;
 
     /** Scan the drop directory; ingest every new spec. Returns the
      * number of campaigns ingested this scan. */
@@ -171,10 +176,11 @@ class CampaignService
      * it cannot be parsed or expanded. */
     bool ingestSpec(const std::string &path);
     /** Refresh done counts from the cache, write status.json and
-     * partial/final exports for campaigns that progressed. */
+     * partial exports for campaigns that progressed. */
     void updateStatus();
-    /** Worker-thread body: drain the shared pool until stop. */
-    void drainLoop();
+    /** Runner-thread body: measure each ingested campaign in
+     * ingest order and write its final exports, until stop. */
+    void measureLoop();
     /** Directory of one campaign's outputs. */
     std::string campaignDir(const std::string &name) const;
     /** Write one campaign's status.json; @p fleet is the worker

@@ -32,6 +32,15 @@ ChipConfig::all()
     return out;
 }
 
+bool
+ChipConfig::valid() const
+{
+    static const std::vector<ChipConfig> kAll = all();
+    return std::any_of(kAll.begin(), kAll.end(), [&](const ChipConfig &c) {
+        return c.cores == cores && c.smt == smt;
+    });
+}
+
 std::string
 ChipConfig::label() const
 {
@@ -333,10 +342,9 @@ void
 Machine::validateRun(const Program &prog, const ChipConfig &cfg,
                      const OperatingPoint &op) const
 {
-    if (cfg.cores < 1 || cfg.cores > 8)
-        fatal(cat("bad core count ", cfg.cores));
-    if (cfg.smt != 1 && cfg.smt != 2 && cfg.smt != 4)
-        fatal(cat("bad SMT mode ", cfg.smt));
+    if (!cfg.valid())
+        fatal(cat("bad configuration ", cfg.label(),
+                  " (want 1-8 cores and SMT 1, 2 or 4)"));
     if (op.freqGhz <= 0.0 || op.voltage <= 0.0)
         fatal(cat("bad operating point ", op.freqGhz, " GHz @ ",
                   op.voltage, " V"));

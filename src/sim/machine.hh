@@ -34,8 +34,13 @@ struct ChipConfig
     int cores = 8;
     int smt = 1;
 
-    /** All 24 configurations studied in the paper. */
+    /** All 24 configurations studied in the paper: 1-8 cores, SMT
+     * 1, 2 or 4. */
     static std::vector<ChipConfig> all();
+
+    /** Whether all() lists this configuration: what
+     * parseConfigList and Machine::run accept. */
+    bool valid() const;
 
     /** "cores-smt" label used across the paper's figures. */
     std::string label() const;

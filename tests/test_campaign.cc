@@ -307,9 +307,30 @@ TEST(CampaignSpec, OverrideSettingMatchesSpecLine)
 
 TEST(CampaignSpecDeath, OverrideSettingNamesTheFlag)
 {
-    // key, bad value, flag, expected message.
+    // key, bad value, flag (or spec-file line), expected message.
     const char *const bad[][4] = {
         {"configs", "4x2", "--configs", "bad config '4x2' .* in --configs"},
+        {"configs", "1-1,9-1", "--configs", "bad config '9-1' .* in --configs"},
+        {"configs", "0-1", "--configs", "bad config '0-1' .* in --configs"},
+        {"configs", "8-3", "--configs", "bad config '8-3' .* in --configs"},
+        {"configs", "4294967297-1", "--configs",
+         "bad config '4294967297-1' .* in --configs"},
+        {"body_size", "-1", "s.spec:1", "body_size must be >= 2 in s.spec:1"},
+        {"body_size", "1", "s.spec:1", "body_size must be >= 2 in s.spec:1"},
+        {"random_count", "-3", "s.spec:2",
+         "random_count must be >= 0 in s.spec:2"},
+        {"random_count", "4294967297", "s.spec:2",
+         "random_count must be <= 2147483647 in s.spec:2"},
+        {"per_memory_group", "-1", "s.spec:3",
+         "per_memory_group must be >= 0 in s.spec:3"},
+        {"memory_count", "-1", "s.spec:4",
+         "memory_count must be >= 0 in s.spec:4"},
+        {"ipc_search_budget", "-1", "s.spec:5",
+         "ipc_search_budget must be >= 0 in s.spec:5"},
+        {"ga_population", "-1", "s.spec:6",
+         "ga_population must be >= 0 in s.spec:6"},
+        {"ga_generations", "-1", "s.spec:7",
+         "ga_generations must be >= 0 in s.spec:7"},
         {"freqs", "2.0,2.0", "--freqs", "duplicate frequency 2.0 in --freqs"},
         {"vdds", "0", "--vdds", "voltage must be > 0 V, got '0' in --vdds"},
         {"threads", "-1", "--threads", "threads must be >= 0 .* in --threads"},

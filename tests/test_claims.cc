@@ -300,19 +300,6 @@ TEST(ClaimedQueue, SweepsOrphanClaimOnCachedJob)
     EXPECT_FALSE(fs::exists(fx.claims.pathOf(40)));
 }
 
-TEST(ClaimedQueue, PushExtendsDrainedPool)
-{
-    QueueFixture fx("push");
-    ClaimedQueue queue(fx.cache, fx.claims);
-    size_t idx = 0;
-    EXPECT_EQ(queue.next(idx), ClaimedQueue::Pull::Drained);
-    queue.push({{50, 0, 1.0}});
-    ASSERT_EQ(queue.next(idx), ClaimedQueue::Pull::Job);
-    fx.cache.store(50, fx.sample(50));
-    queue.complete(idx);
-    EXPECT_EQ(queue.next(idx), ClaimedQueue::Pull::Drained);
-}
-
 /** Tiny campaign spec (mirrors test_campaign.cc). */
 CampaignSpec
 tinySpec()

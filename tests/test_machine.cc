@@ -233,9 +233,9 @@ TEST(MachineDeath, BadConfigFatal)
     Machine m(isa);
     Program p = loopOf("add", 64, 0);
     EXPECT_EXIT(m.run(p, {9, 1}), testing::ExitedWithCode(1),
-                "bad core count");
+                "bad configuration 9-1");
     EXPECT_EXIT(m.run(p, {4, 3}), testing::ExitedWithCode(1),
-                "bad SMT mode");
+                "bad configuration 4-3");
 }
 
 // Property sweep: sensor power is finite, positive and above idle

@@ -8,7 +8,8 @@
  * file grammar round-trip, and the load-bearing end-to-end
  * guarantee: a traced campaign run produces byte-identical exports
  * to an untraced one, and every execution path (plain, --serve, the
- * service) emits the same per-job span and histogram.
+ * service) emits the same per-job span and histogram, and the same
+ * campaign.measure span and cache_corrupt count.
  *
  * obs state is process-global (rings and the registry live for the
  * process); every test starts from obs::traceReset() /
@@ -757,4 +758,72 @@ TEST(TracedCampaign, EveryPathEmitsOneJobSpanPerExecutedJob)
     EXPECT_EQ(jobSpanEnds("serve"), r.jobs.size());
     EXPECT_EQ(jobSecondsHistogram().count() - observed0, r.jobs.size());
     obs::traceReset();
+}
+
+TEST(TracedCampaign, ServiceMeasuresThroughTheEngine)
+{
+    // The service measures each dropped campaign through the
+    // engine's measurement phase: one campaign.measure span per
+    // campaign, and a cache entry that is another job's reaches
+    // status.json's cache_corrupt, as on a --serve run.
+    setLogLevel(LogLevel::Quiet);
+    const std::string alpha = "categories = random\n"
+                              "random_count = 3\n"
+                              "body_size = 128\n"
+                              "bootstrap = 0\n"
+                              "configs = 1-1,2-1,1-2\n";
+    const std::string beta = "categories = random\n"
+                             "random_count = 2\n"
+                             "body_size = 128\n"
+                             "bootstrap = 0\n"
+                             "configs = 2-2\n";
+    ServiceOptions opts;
+    opts.dropDir = freshCacheDir("svc-swap-drop");
+    opts.cacheDir = freshCacheDir("svc-swap-pool");
+    opts.resultsDir = freshCacheDir("svc-swap-results");
+    opts.threads = 2;
+    opts.pollSeconds = 0.02;
+    opts.exitWhenIdle = true;
+
+    // Fill the pool with alpha's samples, measured on the machine
+    // the service builds, then copy one entry over another job's.
+    Architecture arch = Architecture::get("POWER7");
+    Machine machine = arch.machine();
+    CampaignSpec spec = parseCampaignSpecText(alpha, "alpha");
+    spec.cacheDir = opts.cacheDir;
+    Campaign(machine, spec).run(arch);
+    CampaignManifest m;
+    ASSERT_TRUE(loadManifest(manifestPath(opts.cacheDir), m));
+    ASSERT_GE(m.entries.size(), 2u);
+    ResultCache cache(opts.cacheDir);
+    std::filesystem::copy_file(
+        cache.pathOf(m.entries[0].key), cache.pathOf(m.entries[1].key),
+        std::filesystem::copy_options::overwrite_existing);
+
+    std::filesystem::create_directories(opts.dropDir);
+    std::ofstream(opts.dropDir + "/alpha.spec") << alpha;
+    std::ofstream(opts.dropDir + "/beta.spec") << beta;
+    obs::traceReset();
+    obs::metricsReset();
+    obs::traceEnable();
+    {
+        CampaignService service(opts);
+        EXPECT_EQ(service.run(), 2u);
+    }
+    obs::traceDisable();
+
+    size_t measure_ends = 0;
+    for (const ParsedEvent &e : parseTrace(traceJson()))
+        if (e.name == "campaign.measure" && e.phase == 'E')
+            ++measure_ends;
+    EXPECT_EQ(measure_ends, 2u);
+    std::ifstream f(opts.resultsDir + "/alpha/status.json");
+    ASSERT_TRUE(f);
+    std::ostringstream status;
+    status << f.rdbuf();
+    EXPECT_NE(status.str().find("\"cache_corrupt\": 1"), std::string::npos)
+        << status.str();
+    obs::traceReset();
+    obs::metricsReset();
+    setLogLevel(LogLevel::Normal);
 }

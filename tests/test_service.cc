@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the drop-directory campaign service: spec ingestion,
- * multi-campaign multiplexing over one pool, streamed status and
- * exports, async submission while workers run, and survival of
- * malformed dropped specs.
+ * several campaigns over one cache, streamed status and exports,
+ * async submission while campaigns run, and survival of malformed
+ * dropped specs.
  */
 
 #include <gtest/gtest.h>
@@ -54,6 +54,18 @@ writeFile(const std::string &path, const std::string &content)
     std::ofstream f(path);
     ASSERT_TRUE(f.is_open()) << path;
     f << content;
+}
+
+/** Drop a spec into a watched directory the way a client running
+ * beside the service must: write it under a name the service
+ * ignores, then rename it into place, so no scan reads it half
+ * written. */
+void
+dropSpec(const std::string &dir, const std::string &name,
+         const std::string &text)
+{
+    writeFile(dir + "/" + name + ".tmp", text);
+    fs::rename(dir + "/" + name + ".tmp", dir + "/" + name + ".spec");
 }
 
 std::string
@@ -168,18 +180,29 @@ TEST(Service, VddSweepExportMatchesStandaloneRun)
 TEST(Service, SurvivesMalformedSpec)
 {
     ServiceOptions opts = testOptions("malformed");
-    writeFile(opts.dropDir + "/broken.spec",
-              "categories = no-such-category\n");
+    // An unknown category, a configuration the machine cannot run
+    // and a body size that would wrap to SIZE_MAX.
+    const char *const broken[][2] = {
+        {"broken", "categories = no-such-category\n"},
+        {"badconfig", "categories = random\nrandom_count = 1\n"
+                      "bootstrap = 0\nconfigs = 1-1,9-1\n"},
+        {"badsize", "categories = random\nrandom_count = 1\n"
+                    "bootstrap = 0\nbody_size = -1\n"},
+    };
+    for (const auto &b : broken)
+        writeFile(opts.dropDir + "/" + b[0] + ".spec", b[1]);
     writeFile(opts.dropDir + "/good.spec", tinySpecText(2));
 
     CampaignService service(opts);
-    // The broken spec is rejected with a warning; the good one
+    // Each broken spec is rejected with a warning; the good one
     // still completes and the process survives.
     EXPECT_EQ(service.run(), 1u);
     EXPECT_TRUE(
         fs::exists(opts.resultsDir + "/good/samples.csv"));
-    EXPECT_FALSE(
-        fs::exists(opts.resultsDir + "/broken/samples.csv"));
+    for (const auto &b : broken)
+        EXPECT_FALSE(
+            fs::exists(opts.resultsDir + "/" + b[0] + "/samples.csv"))
+            << b[0];
 }
 
 TEST(Service, IngestsSpecsWhileRunning)
@@ -203,10 +226,10 @@ TEST(Service, IngestsSpecsWhileRunning)
     // Submit the first campaign only after the service is already
     // running, then a second after the first completed — true
     // async ingestion, not a pre-seeded directory.
-    writeFile(opts.dropDir + "/first.spec", tinySpecText(2));
+    dropSpec(opts.dropDir, "first", tinySpecText(2));
     EXPECT_TRUE(
         waitFor(opts.resultsDir + "/first/samples.csv"));
-    writeFile(opts.dropDir + "/second.spec", tinySpecText(3));
+    dropSpec(opts.dropDir, "second", tinySpecText(3));
     EXPECT_TRUE(
         waitFor(opts.resultsDir + "/second/samples.csv"));
 

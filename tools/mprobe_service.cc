@@ -1,14 +1,15 @@
 /**
  * @file
  * mprobe-service: long-lived campaign service — watch a drop
- * directory for campaign specs, feed their jobs through one shared
- * claim pool + result cache, and stream per-campaign status and
- * incremental exports.
+ * directory for campaign specs, measure each one in turn as a
+ * --serve worker on one shared result cache, and stream
+ * per-campaign status and incremental exports.
  *
  *   mprobe-service --drop-dir specs --cache-dir pool \
  *                  --results-dir out
- *   # elsewhere, submit a campaign:
- *   cp sweep.spec specs/
+ *   # elsewhere, submit a campaign (renamed into place, so the
+ *   # service never reads it half written):
+ *   cp sweep.spec specs/sweep.tmp && mv specs/sweep.tmp specs/sweep.spec
  *   # watch out/sweep/status.json, out/sweep/partial.csv, and
  *   # finally out/sweep/samples.csv
  *
@@ -42,12 +43,13 @@ main(int argc, char **argv)
                    "<results-dir>/<name>/ receives the manifest, "
                    "status.json, partial and final exports");
     args.addOption("threads", "",
-                   "worker threads draining the pool (0 = one per "
-                   "hardware thread)");
+                   "threads measuring each campaign through its "
+                   "claim pool (0 = one per hardware thread)");
     args.addOption("poll-seconds", "",
                    "seconds between drop-directory scans, each of "
                    "which also refreshes status.json and the partial "
-                   "exports (default 1)");
+                   "exports, and each campaign's claim poll "
+                   "(default 1)");
     args.addOption("claim-ttl", "",
                    "seconds before a claim with no heartbeat "
                    "counts as dead and its job is stolen "
