@@ -120,10 +120,6 @@ benchCampaignSpec()
 {
     CampaignSpec spec = measurementSpec(0, envCacheDir());
     spec.serve = envServe();
-    // Fast-mode benches measure a different (smaller) corpus than
-    // full-size ones; tag the manifest so the two never accumulate
-    // into one in a shared cache directory.
-    spec.corpusTag = fastMode() ? 0xfa57ull : 0x1ull;
     return spec;
 }
 

@@ -131,7 +131,9 @@ campaignFingerprint(const CampaignSpec &spec,
     h.add(so.gaPopulation).add(so.gaGenerations);
     h.add(so.extendUnitMix).add(so.seed);
     h.add(spec.bootstrap);
-    h.add(spec.corpusTag);
+    // The slot a measure() corpus tag used to fill: hashing its zero
+    // keeps existing manifests resumable.
+    h.add(static_cast<uint64_t>(0));
     return h.digest();
 }
 
@@ -186,7 +188,7 @@ JobExecutor::run(const CampaignJob &job, const Program &prog, Sample &out,
     // cache hits (µs) through heavy cold simulations.
     static obs::Histogram &hist = obs::histogram(
         "job_seconds", {0.0001, 0.001, 0.01, 0.1, 1.0, 10.0});
-    // lint: wallclock-ok(per-job seconds: span, histogram, --calibrate)
+    // lint: wallclock-ok(per-job seconds: span, histogram, --metrics-json)
     using clock = std::chrono::steady_clock;
     const auto t0 = clock::now();
     obs::TraceSpan span("campaign.job");
@@ -388,8 +390,8 @@ Campaign::expandJobs(
         for (size_t k = 0; k < points.size(); ++k)
             jobs.push_back(
                 {w, points[k].config, keys[k],
-                 costModel.estimate(points[k].config,
-                                    prog.body.size()),
+                 JobCostModel().estimate(points[k].config,
+                                         prog.body.size()),
                  points[k].freqGhz, points[k].vdd});
     }
     span.note("jobs", static_cast<double>(jobs.size()));
@@ -413,16 +415,13 @@ Campaign::writeManifest(const CampaignResult &res) const
     m.entries.reserve(res.jobs.size());
     for (const auto &job : res.jobs) {
         const CampaignWorkload &w = res.workloads[job.workload];
-        m.entries.push_back(
-            {job.key, job.config,
-             w.source.empty() ? "adhoc" : w.source,
-             w.program.name, job.freqGhz, job.vdd});
+        m.entries.push_back({job.key, job.config, w.source,
+                             w.program.name, job.freqGhz, job.vdd});
     }
-    // Merge-accumulate: repeated measure() calls (the model
-    // pipeline issues several) grow one manifest, and every shard
-    // of one campaign persists the identical full job list. The
-    // service points manifestDir at a per-campaign directory so
-    // many concurrent campaigns can share one cache.
+    // Every shard of one campaign persists the identical full job
+    // list, so a manifest of the same campaign is merged, not
+    // rewritten. The service points manifestDir at a per-campaign
+    // directory so many concurrent campaigns can share one cache.
     std::error_code ec;
     std::filesystem::create_directories(mdir, ec);
     mergeSaveManifest(manifestPath(mdir), m);
@@ -820,11 +819,6 @@ Campaign::measure(
     res.workloads = adhocWorkloads(programs);
     res.jobs = expandJobs(res.workloads, configs_per);
     res.totalJobs = res.jobs.size();
-    // measure() campaigns are manifest-covered too: benches and
-    // the model pipeline accumulate their job lists next to the
-    // shared cache, which is what makes --resume and --merge work
-    // for them.
-    writeManifest(res);
     measureJobs(res);
     return std::move(res.samples);
 }

@@ -102,9 +102,8 @@ struct CampaignResult
     size_t claimsAcquired = 0;
     size_t claimsStolen = 0;
     /** Measured wall seconds per executed job (parallel to jobs;
-     * near-zero for cache hits) and whether each was a hit — the
-     * raw material `mprobe_campaign --calibrate` refits the
-     * JobCostModel from. */
+     * near-zero for cache hits) and whether each was a hit, as
+     * --metrics-json's job_seconds array reports them. */
     std::vector<double> jobSeconds;
     std::vector<char> jobCached;
     /** @name Phase wall times (perf trajectory tracking) */
@@ -286,15 +285,15 @@ class Campaign
      * Samples come back program-major, each program's configs in
      * the order listed.
      *
-     * Both overloads persist (merge-accumulate) their expanded job
-     * list into the cache directory's manifest, so --resume and
-     * --merge cover bench/pipeline measurements too, and always
-     * return every sample measured. A sharded spec is refused
-     * (fatal): a slice is not the corpus the caller asked for.
-     * Under `spec.serve` the jobs drain through the claim pool of
-     * the shared cache directory, exactly as run() does, so every
-     * process measuring the same corpus into one cache splits the
-     * work and each returns the complete sample vector.
+     * Both overloads always return every sample measured and write
+     * no manifest: the caller's corpus is not described by the
+     * spec, so no spec file could resume or merge it. A sharded
+     * spec is refused (fatal): a slice is not the corpus the
+     * caller asked for. Under `spec.serve` the jobs drain through
+     * the claim pool of the shared cache directory, exactly as
+     * run() does, so every process measuring the same corpus into
+     * one cache splits the work and each returns the complete
+     * sample vector.
      */
     std::vector<Sample>
     measure(const std::vector<Program> &programs,
@@ -312,9 +311,6 @@ class Campaign
     CampaignSpec spec;
     ResultCache cache;
     uint64_t machineFp;
-    /** Relative-cost estimator behind cost-striped sharding and
-     * longest-first local ordering. */
-    JobCostModel costModel;
 
     /** Expand spec workloads (generation phase). */
     std::vector<CampaignWorkload> expandWorkloads(Architecture &arch);
@@ -344,7 +340,7 @@ class Campaign
     void runClaimed(CampaignResult &res);
 
     /** Persist @p res's job list into the campaign's manifest
-     * (resume, merge). */
+     * (resume, merge); expand() is its only caller. */
     void writeManifest(const CampaignResult &res) const;
 };
 

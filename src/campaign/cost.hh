@@ -34,26 +34,24 @@ namespace mprobe
 {
 
 /**
- * Relative cost of one measurement job. Units are arbitrary (only
- * ratios matter for scheduling); the default weights make one
- * simulated body slot on one hardware thread cost 1.
+ * Relative cost of one measurement job: a fixed heuristic whose
+ * units are arbitrary (only ratios matter for scheduling); one
+ * simulated body slot on one hardware thread costs 1.
  */
 struct JobCostModel
 {
     /** Fixed per-job overhead (dispatch, cache probe, sample I/O),
      * in body-slot units. */
-    double perJob = 64.0;
-    /** Cost per (body instruction x deployed hardware thread). */
-    double perSlotThread = 1.0;
+    static constexpr double kPerJob = 64.0;
 
     /** Estimated cost of deploying a @p body_size-instruction loop
-     * on @p cfg. */
+     * on @p cfg: the overhead plus one unit per (body instruction x
+     * deployed hardware thread). */
     double
     estimate(const ChipConfig &cfg, size_t body_size) const
     {
-        return perJob + perSlotThread *
-                            static_cast<double>(cfg.threads()) *
-                            static_cast<double>(body_size);
+        return kPerJob + static_cast<double>(cfg.threads()) *
+                             static_cast<double>(body_size);
     }
 };
 
@@ -67,49 +65,6 @@ struct JobCostModel
  */
 std::vector<std::vector<size_t>>
 costStripedPartition(const std::vector<double> &costs, int count);
-
-/** One measured job wall time, as recorded in the campaign's
- * --metrics-json (cache hits are excluded from calibration: they
- * measure the filesystem, not the simulator). */
-struct JobTiming
-{
-    ChipConfig config;
-    size_t bodySize = 0;
-    double seconds = 0.0;
-    bool cached = false;
-};
-
-/** What calibrateJobCostModel fitted. */
-struct CostCalibration
-{
-    /** False when the timings cannot support a fit (fewer than two
-     * distinct non-cached sizes, or a non-positive slope). */
-    bool ok = false;
-    /** Non-cached timings the fit used. */
-    size_t used = 0;
-    /** Fixed per-job overhead in seconds (the intercept). */
-    double perJobSeconds = 0.0;
-    /** Seconds per (body instruction x deployed hardware thread)
-     * (the slope). */
-    double perSlotThreadSeconds = 0.0;
-    /** Coefficient of determination of the fit. */
-    double r2 = 0.0;
-    /** The refitted model, normalized like the default (one
-     * slot-thread unit costs 1): perJob = intercept / slope. */
-    JobCostModel fitted;
-};
-
-/**
- * Refit the JobCostModel constants from measured per-job wall
- * times: ordinary least squares of seconds against
- * threads x body_size over the non-cached timings — the ROADMAP's
- * "calibrate the cost model from measured wall times" step,
- * surfaced as `mprobe_campaign --calibrate`. Only the
- * perJob/perSlotThread *ratio* matters for scheduling, so the
- * fitted model is normalized to perSlotThread = 1.
- */
-CostCalibration
-calibrateJobCostModel(const std::vector<JobTiming> &timings);
 
 } // namespace mprobe
 

@@ -115,13 +115,12 @@ void saveManifest(const std::string &path, const CampaignManifest &m);
  * their order, entries of @p m with unseen keys are appended, and
  * a curve missing from the existing manifest is taken from @p m. A
  * missing or different-fingerprint manifest is overwritten. This
- * lets the measure() overloads accumulate one manifest across many
- * calls (the model pipeline issues several per run) and lets every
- * shard of one campaign persist the identical full job list.
- * Concurrent same-fingerprint writers with *different* entry sets
- * can lose each other's additions (load-merge-store is not
- * transactional); shards of one campaign write identical content,
- * so the race is harmless there.
+ * lets every shard of one campaign persist the identical full job
+ * list, and gives a manifest written before the curve line its
+ * curve. Concurrent same-fingerprint writers with *different*
+ * entry sets can lose each other's additions (load-merge-store is
+ * not transactional); shards of one campaign write identical
+ * content, so the race is harmless there.
  */
 void mergeSaveManifest(const std::string &path,
                        const CampaignManifest &m);

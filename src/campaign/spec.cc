@@ -141,6 +141,24 @@ parseVddList(const std::string &s, const std::string &context)
     return out;
 }
 
+/**
+ * @p text as an int of at least @p min. A size, count or index the
+ * generators or the engine cannot take wraps or vanishes silently
+ * downstream, so it is refused here, naming @p what.
+ */
+int
+intAtLeast(const std::string &text, long min, const std::string &what,
+           const std::string &context)
+{
+    long v = parseInt(text, context);
+    if (v < min)
+        fatal(cat(what, " must be >= ", min, " in ", context));
+    if (v > std::numeric_limits<int>::max())
+        fatal(cat(what, " must be <= ", std::numeric_limits<int>::max(),
+                  " in ", context));
+    return static_cast<int>(v);
+}
+
 void
 parseShard(const std::string &s, const std::string &context,
            int &index, int &count)
@@ -149,11 +167,9 @@ parseShard(const std::string &s, const std::string &context,
     if (parts.size() != 2)
         fatal(cat("bad shard '", trim(s),
                   "' (want index/count, e.g. 0/4) in ", context));
-    index = static_cast<int>(parseInt(parts[0], context));
-    count = static_cast<int>(parseInt(parts[1], context));
-    if (count < 1)
-        fatal(cat("shard count must be >= 1 in ", context));
-    if (index < 0 || index >= count)
+    index = intAtLeast(parts[0], 0, "shard index", context);
+    count = intAtLeast(parts[1], 1, "shard count", context);
+    if (index >= count)
         fatal(cat("shard index ", index, " out of range [0, ",
                   count, ") in ", context));
 }
@@ -186,18 +202,9 @@ void
 applySpecSetting(CampaignSpec &spec, const std::string &key,
                  const std::string &value, const std::string &context)
 {
-    auto integer = [&]() { return parseInt(value, context); };
-    auto flag = [&]() { return integer() != 0; };
-    // A size or count the generators cannot take wraps or vanishes
-    // silently downstream, so it is refused here.
+    auto flag = [&]() { return parseInt(value, context) != 0; };
     auto atLeast = [&](long min) {
-        long v = integer();
-        if (v < min)
-            fatal(cat(key, " must be >= ", min, " in ", context));
-        if (v > std::numeric_limits<int>::max())
-            fatal(cat(key, " must be <= ", std::numeric_limits<int>::max(),
-                      " in ", context));
-        return static_cast<int>(v);
+        return intAtLeast(value, min, key, context);
     };
     if (key == "categories") {
         spec.suiteEnabled = false;
@@ -226,13 +233,11 @@ applySpecSetting(CampaignSpec &spec, const std::string &key,
     } else if (key == "vdds") {
         spec.vdds = parseVddList(value, context);
     } else if (key == "threads") {
-        spec.threads = static_cast<int>(integer());
-        if (spec.threads < 0)
-            fatal(cat("threads must be >= 0 (0 = auto) in ", context));
+        spec.threads = atLeast(0); // 0 = one per hardware thread
     } else if (key == "cache_dir") {
         spec.cacheDir = value;
     } else if (key == "salt") {
-        spec.salt = static_cast<uint64_t>(integer());
+        spec.salt = parseUint64(value, context);
     } else if (key == "bootstrap") {
         spec.bootstrap = flag();
     } else if (key == "shard") {
@@ -249,7 +254,7 @@ applySpecSetting(CampaignSpec &spec, const std::string &key,
         if (spec.claimTtlSeconds <= 0)
             fatal(cat("claim_ttl_seconds must be > 0 in ", context));
     } else if (key == "seed") {
-        spec.suite.seed = static_cast<uint64_t>(integer());
+        spec.suite.seed = parseUint64(value, context);
     } else if (key == "body_size") {
         // SkeletonPass needs room for at least two instructions.
         spec.suite.bodySize = static_cast<size_t>(atLeast(2));

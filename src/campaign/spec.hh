@@ -148,19 +148,6 @@ struct CampaignSpec
      * the campaign fingerprint.
      */
     std::string manifestDir; // lint: fingerprint-exempt(manifest location, not content)
-    /**
-     * Identity of a measure()-provided corpus, mixed into the
-     * campaign fingerprint (manifest identity) but never into job
-     * keys. Spec-driven campaigns leave it 0 — their corpus is
-     * described by the generation knobs the fingerprint already
-     * hashes — but measure() callers (benches, the model pipeline)
-     * supply workloads the fingerprint cannot see; tagging the
-     * knobs that shaped them keeps e.g. a fast-mode corpus's
-     * manifest from accumulating into a full-size one in the same
-     * cache directory (shared cache *entries* are always fine:
-     * job keys hash content).
-     */
-    uint64_t corpusTag = 0;
     /**@}*/
 
     /** Whether this spec selects a strict subset of the jobs. */
@@ -191,6 +178,10 @@ struct CampaignSpec
  * mprobe_campaign for each override flag, so a flag accepts exactly
  * its key's values. @p key is lower case. Unknown keys and bad
  * values are fatal() with @p context (a file:line, or the flag).
+ * A number is never clamped or narrowed: `seed` and `salt` take
+ * any 64-bit value (parseUint64), counts, sizes, `threads` and
+ * both `shard` numbers must fit an int, and a fractional value
+ * must be finite (parseDouble).
  */
 void applySpecSetting(CampaignSpec &spec, const std::string &key,
                       const std::string &value,

@@ -6,6 +6,8 @@
 #include "util/str.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 #include "util/logging.hh"
@@ -80,9 +82,30 @@ parseInt(const std::string &s, const std::string &context)
 {
     char *end = nullptr;
     std::string t = trim(s);
+    errno = 0;
     long v = std::strtol(t.c_str(), &end, 0);
     if (t.empty() || end == nullptr || *end != '\0')
         fatal(cat("expected integer, got '", s, "' in ", context));
+    // strtol clamps an out-of-range value to LONG_MIN or LONG_MAX.
+    if (errno == ERANGE)
+        fatal(cat("integer '", t, "' out of range in ", context));
+    return v;
+}
+
+uint64_t
+parseUint64(const std::string &s, const std::string &context)
+{
+    char *end = nullptr;
+    std::string t = trim(s);
+    errno = 0;
+    unsigned long long v = std::strtoull(t.c_str(), &end, 0);
+    if (t.empty() || end == nullptr || *end != '\0')
+        fatal(cat("expected integer, got '", s, "' in ", context));
+    // strtoull negates a '-' value modulo 2^64, which is the two's
+    // complement only down to -2^63.
+    const bool negative = t[0] == '-';
+    if (errno == ERANGE || (negative && v != 0 && v < (1ull << 63)))
+        fatal(cat("integer '", t, "' out of range in ", context));
     return v;
 }
 
@@ -91,9 +114,15 @@ parseDouble(const std::string &s, const std::string &context)
 {
     char *end = nullptr;
     std::string t = trim(s);
+    errno = 0;
     double v = std::strtod(t.c_str(), &end);
     if (t.empty() || end == nullptr || *end != '\0')
         fatal(cat("expected number, got '", s, "' in ", context));
+    // A NaN passes every range check written as a comparison, so
+    // no caller could refuse it.
+    if (!std::isfinite(v) || errno == ERANGE)
+        fatal(cat("expected a finite number in range, got '", s,
+                  "' in ", context));
     return v;
 }
 

@@ -6,6 +6,7 @@
 #ifndef UTIL_STR_HH
 #define UTIL_STR_HH
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -28,12 +29,25 @@ std::string toLower(const std::string &s);
 bool startsWith(const std::string &s, const std::string &prefix);
 
 /**
- * Parse a decimal integer; calls fatal() with @p context on failure
+ * Parse an integer (decimal, or 0x / 0 prefixed); calls fatal()
+ * with @p context on trailing text or a value outside long's range,
  * so definition-file errors point at the offending field.
  */
 long parseInt(const std::string &s, const std::string &context);
 
-/** Parse a floating point number; fatal() with @p context on failure. */
+/**
+ * Parse a 64-bit seed or salt like parseInt: every value in
+ * [0, 2^64) is accepted, and a leading '-' gives the two's
+ * complement of a value in [-2^63, 0), so "-1" is
+ * 0xffffffffffffffff. fatal() with @p context on trailing text or
+ * a value outside both ranges.
+ */
+uint64_t parseUint64(const std::string &s, const std::string &context);
+
+/**
+ * Parse a floating point number; fatal() with @p context on
+ * failure, NaN, infinity or a value outside double's range.
+ */
 double parseDouble(const std::string &s, const std::string &context);
 
 } // namespace mprobe

@@ -15,7 +15,6 @@
 #include "workloads/pipeline.hh"
 
 #include "campaign/campaign.hh"
-#include "util/hash.hh"
 #include "util/logging.hh"
 #include "workloads/spec_proxies.hh"
 
@@ -107,31 +106,6 @@ runModelPipeline(Architecture &arch, const Machine &machine,
         measurementSpec(opts.threads, opts.cacheDir, opts.salt);
     cspec.configs = opts.configs;
     cspec.serve = opts.serve;
-    // Tag the manifest with the knobs that shaped this corpus, so
-    // two pipelines with different corpora (fast vs. full mode)
-    // sharing one cache directory get separate manifests instead
-    // of accumulating into one.
-    {
-        Hasher ct;
-        ct.add(opts.suite.bodySize)
-            .add(opts.suite.perMemoryGroup)
-            .add(opts.suite.memoryCount)
-            .add(opts.suite.randomCount)
-            .add(opts.suite.ipcSearchBudget)
-            .add(opts.suite.gaPopulation)
-            .add(opts.suite.gaGenerations)
-            .add(opts.suite.extendUnitMix)
-            .add(opts.suite.seed);
-        ct.add(opts.suite.categories.size());
-        for (BenchCategory c : opts.suite.categories)
-            ct.add(static_cast<int>(c));
-        ct.add(opts.randomCrossConfig)
-            .add(opts.microConfigStride)
-            .add(opts.specCount)
-            .add(opts.bodySize)
-            .add(opts.seed);
-        cspec.corpusTag = ct.digest();
-    }
     Campaign campaign(machine, cspec);
     std::vector<Sample> samples = campaign.measure(progs, plan);
 

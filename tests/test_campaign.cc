@@ -333,19 +333,54 @@ TEST(CampaignSpecDeath, OverrideSettingNamesTheFlag)
          "ga_generations must be >= 0 in s.spec:7"},
         {"freqs", "2.0,2.0", "--freqs", "duplicate frequency 2.0 in --freqs"},
         {"vdds", "0", "--vdds", "voltage must be > 0 V, got '0' in --vdds"},
-        {"threads", "-1", "--threads", "threads must be >= 0 .* in --threads"},
+        {"freqs", "nan,2.0", "--freqs",
+         "expected a finite number in range, got 'nan' in --freqs"},
+        {"vdds", "0.9,inf", "--vdds",
+         "expected a finite number in range, got 'inf' in --vdds"},
+        {"threads", "-1", "--threads", "threads must be >= 0 in --threads"},
+        {"threads", "4294967297", "--threads",
+         "threads must be <= 2147483647 in --threads"},
         {"salt", "x", "--salt", "expected integer, got 'x' in --salt"},
+        {"salt", "0x10000000000000000", "--salt",
+         "integer '0x10000000000000000' out of range in --salt"},
         {"shard", "2/2", "--shard", "out of range .* in --shard"},
+        {"shard", "0/4294967297", "--shard",
+         "shard count must be <= 2147483647 in --shard"},
+        {"shard", "4294967296/2", "--shard",
+         "shard index must be <= 2147483647 in --shard"},
         {"claim_ttl_seconds", "0", "--claim-ttl",
          "claim_ttl_seconds must be > 0 in --claim-ttl"},
+        {"claim_ttl_seconds", "nan", "--claim-ttl",
+         "expected a finite number in range, got 'nan' in --claim-ttl"},
         {"progress_seconds", "-1", "--progress-seconds",
          "progress_seconds must be >= 0 .* in --progress-seconds"},
+        {"progress_seconds", "inf", "--progress-seconds",
+         "expected a finite number in range, got 'inf' in --progress-seconds"},
     };
     for (const auto &b : bad) {
         CampaignSpec spec;
         EXPECT_EXIT(applySpecSetting(spec, b[0], b[1], b[2]),
                     testing::ExitedWithCode(1), b[3])
             << b[0];
+    }
+}
+
+TEST(CampaignSpec, SeedAndSaltTakeEvery64BitValue)
+{
+    // Three salts that used to clamp to one value (and one job key);
+    // a leading '-' keeps its two's-complement value.
+    const std::pair<const char *, uint64_t> salts[] = {
+        {"0x7fffffffffffffff", 0x7fffffffffffffffull},
+        {"0x8000000000000000", 0x8000000000000000ull},
+        {"0xffffffffffffffff", 0xffffffffffffffffull},
+        {"-1", 0xffffffffffffffffull},
+    };
+    for (const auto &[text, value] : salts) {
+        CampaignSpec spec;
+        applySpecSetting(spec, "salt", text, "--salt");
+        EXPECT_EQ(spec.salt, value) << text;
+        spec = parseCampaignSpecText(cat("seed = ", text, "\n"), "<test>");
+        EXPECT_EQ(spec.suite.seed, value) << text;
     }
 }
 
@@ -1042,7 +1077,7 @@ TEST(CampaignSpecDeath, BadShardFatal)
     EXPECT_EXIT(parseCampaignSpecText("shard = 0/0\n", "<test>"),
                 testing::ExitedWithCode(1), "count must be >= 1");
     EXPECT_EXIT(parseCampaignSpecText("shard = -1/2\n", "<test>"),
-                testing::ExitedWithCode(1), "out of range");
+                testing::ExitedWithCode(1), "shard index must be >= 0");
 }
 
 // ---------------------------------------------------------------
@@ -1140,40 +1175,29 @@ TEST(CampaignShardDeath, ShardWithoutCacheFatal)
 }
 
 // ---------------------------------------------------------------
-// Manifest coverage of measure()
+// measure() and the manifest
 
-TEST(CampaignMeasure, WritesAndAccumulatesManifest)
+TEST(CampaignMeasure, WritesNoManifest)
 {
+    // A measure() corpus comes from the caller, not from the spec,
+    // so no spec file could resume or merge it: measure() leaves a
+    // campaign's manifest in the shared cache directory alone.
     Fixture f;
-    auto progs = f.programs(3);
-    std::vector<ChipConfig> cfgs = {{1, 1}, {2, 1}};
     CampaignSpec spec = tinySpec();
     spec.cacheDir = freshCacheDir("measure-manifest");
+    const std::string path = manifestPath(spec.cacheDir);
 
-    Campaign c(f.machine, spec);
-    auto s1 = c.measure(progs, cfgs);
+    Campaign(f.machine, spec).measure(f.programs(2), {ChipConfig{1, 1}});
+    EXPECT_FALSE(std::filesystem::exists(path));
 
-    CampaignManifest m;
-    ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m));
-    EXPECT_EQ(m.entries.size(), progs.size() * cfgs.size());
-    for (const auto &e : m.entries)
-        EXPECT_EQ(e.source, "adhoc");
-    // Everything measured: resume has nothing left.
-    ResultCache cache(spec.cacheDir);
-    EXPECT_TRUE(collectManifestSamples(m, cache, f.machine).missing.empty());
-
-    // A second measure() call with new programs accumulates into
-    // the same manifest (the model pipeline issues several calls).
-    auto more = f.programs(2, 96);
-    Campaign c2(f.machine, spec);
-    c2.measure(more, cfgs);
-    CampaignManifest m2;
-    ASSERT_TRUE(loadManifest(manifestPath(spec.cacheDir), m2));
-    EXPECT_EQ(m2.entries.size(),
-              (progs.size() + more.size()) * cfgs.size());
-    // Existing entries keep their order at the front.
-    for (size_t i = 0; i < m.entries.size(); ++i)
-        EXPECT_EQ(m2.entries[i].key, m.entries[i].key) << i;
+    // A run's manifest survives a later measure() into its cache.
+    Campaign(f.machine, spec).run(f.arch);
+    CampaignManifest before;
+    ASSERT_TRUE(loadManifest(path, before));
+    Campaign(f.machine, spec).measure(f.programs(1, 96), {ChipConfig{1, 1}});
+    CampaignManifest after;
+    ASSERT_TRUE(loadManifest(path, after));
+    EXPECT_EQ(manifestToText(after), manifestToText(before));
 }
 
 TEST(CampaignMeasureDeath, ShardedSpecRefused)
@@ -2130,7 +2154,7 @@ TEST(CampaignShard, ShardedVddFreqSweepMergesBitIdentical)
 }
 
 // ---------------------------------------------------------------
-// Progress ETA and cost-model calibration
+// Progress ETA and per-job wall seconds
 
 TEST(CampaignProgress, LinesIncludeCostWeightedEta)
 {
@@ -2160,64 +2184,4 @@ TEST(CampaignRun, RecordsPerJobWallSeconds)
         EXPECT_GT(r.jobSeconds[i], 0.0) << i;
         EXPECT_EQ(r.jobCached[i], 0) << i; // no cache dir: all cold
     }
-}
-
-TEST(JobCost, CalibrationRecoversKnownConstants)
-{
-    // Synthetic timings from known constants: seconds =
-    // a + b * threads * body. The fit must recover them and the
-    // normalized model must land at perJob = a/b.
-    const double a = 3e-4, b = 2e-8;
-    std::vector<JobTiming> timings;
-    for (int cores : {1, 2, 4, 8})
-        for (int smt : {1, 2, 4})
-            for (size_t body : {256u, 1024u, 4096u})
-                timings.push_back(
-                    {{cores, smt}, body,
-                     a + b * cores * smt *
-                             static_cast<double>(body),
-                     false});
-    // Cache hits must be ignored, not fitted.
-    timings.push_back({{8, 4}, 4096, 1e-6, true});
-
-    CostCalibration cal = calibrateJobCostModel(timings);
-    ASSERT_TRUE(cal.ok);
-    EXPECT_EQ(cal.used, timings.size() - 1);
-    EXPECT_NEAR(cal.perJobSeconds, a, a * 1e-6);
-    EXPECT_NEAR(cal.perSlotThreadSeconds, b, b * 1e-6);
-    EXPECT_NEAR(cal.fitted.perJob, a / b, a / b * 1e-6);
-    EXPECT_EQ(cal.fitted.perSlotThread, 1.0);
-    EXPECT_GT(cal.r2, 0.999);
-}
-
-TEST(JobCost, CalibrationRefusesDegenerateInput)
-{
-    // All-cached, empty, or single-size inputs cannot support a
-    // fit.
-    EXPECT_FALSE(calibrateJobCostModel({}).ok);
-    std::vector<JobTiming> cached = {{{1, 1}, 256, 0.1, true},
-                                     {{8, 4}, 4096, 0.9, true}};
-    EXPECT_FALSE(calibrateJobCostModel(cached).ok);
-    std::vector<JobTiming> flat = {{{1, 1}, 256, 0.1, false},
-                                   {{1, 1}, 256, 0.2, false}};
-    EXPECT_FALSE(calibrateJobCostModel(flat).ok);
-}
-
-TEST(CampaignFingerprint, CorpusTagSeparatesManifests)
-{
-    // measure()-provided corpora are invisible to the fingerprint;
-    // the corpus tag stands in for them, so differently-shaped
-    // corpora (fast vs. full bench modes) sharing one cache
-    // directory keep separate manifests. Job keys never include
-    // it: cache entries are shared freely.
-    Fixture f;
-    CampaignSpec a = tinySpec();
-    CampaignSpec b = tinySpec();
-    b.corpusTag = 0xfa57ull;
-    uint64_t fp = f.machine.fingerprint();
-    EXPECT_NE(campaignFingerprint(a, fp),
-              campaignFingerprint(b, fp));
-    auto progs = f.programs(1);
-    EXPECT_EQ(campaignJobKey(progs[0], {1, 1}, fp, 0),
-              campaignJobKey(progs[0], {1, 1}, fp, 0));
 }

@@ -233,6 +233,48 @@ TEST(StrDeath, ParseIntRejectsGarbage)
                 testing::ExitedWithCode(1), "ctx");
 }
 
+TEST(StrDeath, ParseIntRejectsOutOfRange)
+{
+    // strtol would clamp each to LONG_MAX or LONG_MIN.
+    for (const char *bad : {"9223372036854775808", "-9223372036854775809",
+                            "0xffffffffffffffff"})
+        EXPECT_EXIT(parseInt(bad, "ctx"), testing::ExitedWithCode(1),
+                    "out of range in ctx")
+            << bad;
+}
+
+TEST(Str, ParseUint64TakesEvery64BitValue)
+{
+    EXPECT_EQ(parseUint64(" 42 ", "t"), 42u);
+    EXPECT_EQ(parseUint64("0x8000000000000000", "t"), 1ull << 63);
+    EXPECT_EQ(parseUint64("18446744073709551615", "t"), ~0ull);
+    // A leading '-' is the two's complement, down to -2^63.
+    EXPECT_EQ(parseUint64("-1", "t"), ~0ull);
+    EXPECT_EQ(parseUint64("-0x8000000000000000", "t"), 1ull << 63);
+}
+
+TEST(StrDeath, ParseUint64RejectsOverflowAndGarbage)
+{
+    for (const char *bad : {"0x10000000000000000", "18446744073709551616",
+                            "-0x8000000000000001"})
+        EXPECT_EXIT(parseUint64(bad, "ctx"), testing::ExitedWithCode(1),
+                    "out of range in ctx")
+            << bad;
+    for (const char *bad : {"", "12x", "1.5"})
+        EXPECT_EXIT(parseUint64(bad, "ctx"), testing::ExitedWithCode(1),
+                    "expected integer, got '.*' in ctx")
+            << bad;
+}
+
+TEST(StrDeath, ParseDoubleRejectsNonFiniteAndOutOfRange)
+{
+    for (const char *bad : {"nan", "-nan", "inf", "-infinity", "1e999",
+                            "-1e999", "1e-400"})
+        EXPECT_EXIT(parseDouble(bad, "ctx"), testing::ExitedWithCode(1),
+                    "expected a finite number in range, got '.*' in ctx")
+            << bad;
+}
+
 // ---------------------------------------------------------------
 // Stats
 

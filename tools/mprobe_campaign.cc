@@ -69,6 +69,8 @@ listEntries(const char *label, const std::vector<ManifestEntry> &entries)
  * interrupted run left unfinished — the entries --merge would
  * report missing, so a cache entry that is another job's counts as
  * unfinished. The run that follows completes exactly those jobs.
+ * Another campaign's manifest is fatal, before any generation: the
+ * run would replace it, leaving that campaign nothing to resume.
  */
 void
 reportResume(const CampaignSpec &spec, const Machine &machine)
@@ -86,14 +88,14 @@ reportResume(const CampaignSpec &spec, const Machine &machine)
     // different worker count is the same campaign; a different
     // body size / seed / salt / config set / machine is not, even
     // when the summaries read identically.
-    if (m.fingerprint != campaignFingerprint(spec, machine.fingerprint())) {
-        warn(cat("--resume: spec mismatch; the manifest was "
-                 "written by \"", m.spec, "\" with different "
-                 "content — its progress does not apply to this "
-                 "campaign, which runs in full (cache entries "
-                 "never clash: job keys hash the content)"));
-        return;
-    }
+    if (m.fingerprint != campaignFingerprint(spec, machine.fingerprint()))
+        fatal(cat("--resume: the manifest under '", mdir,
+                  "' is another campaign's: it was written by \"", m.spec,
+                  "\", this is \"", spec.contentSummary(),
+                  "\" (summaries omit some knobs, so the two may read "
+                  "alike). Resume that campaign with its own spec, or "
+                  "run this one without --resume, which replaces the "
+                  "manifest"));
     ResultCache probe(spec.cacheDir);
     std::vector<ManifestEntry> rem =
         collectManifestSamples(m, probe, machine).missing;
@@ -159,9 +161,8 @@ writeMetricsJson(const std::string &path, const CampaignSpec &spec,
         // variant stays the lean committed-baseline format.
         f << ",\n  \"metrics\": ";
         obs::metricsWriteJson(f, "  ");
-        // Per-job wall seconds: what --calibrate refits the
-        // JobCostModel from. Kept last so the aggregate fields
-        // above stay easy to eyeball.
+        // Per-job wall seconds (perfbench reads them). Kept last
+        // so the aggregate fields above stay easy to eyeball.
         f << ",\n  \"job_seconds\": [";
         for (size_t i = 0; i < res.jobs.size(); ++i) {
             const CampaignJob &job = res.jobs[i];
@@ -184,116 +185,6 @@ writeMetricsJson(const std::string &path, const CampaignSpec &spec,
     f << "\n}\n";
     if (!f.flush())
         fatal(cat("short write to metrics file '", path, "'"));
-}
-
-/**
- * Parse the job_seconds array back out of a --metrics-json file
- * (this tool's own writer format; not a general JSON parser).
- */
-std::vector<JobTiming>
-readMetricsTimings(const std::string &path)
-{
-    std::ifstream f(path);
-    if (!f)
-        fatal(cat("cannot read metrics file '", path, "'"));
-    std::ostringstream os;
-    os << f.rdbuf();
-    std::string text = os.str();
-
-    auto list_at = text.find("\"job_seconds\"");
-    if (list_at == std::string::npos)
-        fatal(cat("no \"job_seconds\" array in '", path,
-                  "' — re-run the campaign with --metrics-json "
-                  "using this build"));
-
-    auto field = [&](const std::string &obj, const char *name,
-                     double &value) {
-        auto at = obj.find(cat("\"", name, "\":"));
-        if (at == std::string::npos)
-            return false;
-        at = obj.find(':', at);
-        try {
-            value = std::stod(obj.substr(at + 1));
-        } catch (const std::exception &) {
-            return false;
-        }
-        return true;
-    };
-
-    std::vector<JobTiming> out;
-    size_t pos = text.find('[', list_at);
-    size_t end = text.find(']', list_at);
-    while (pos != std::string::npos && pos < end) {
-        size_t open = text.find('{', pos);
-        if (open == std::string::npos || open > end)
-            break;
-        size_t close = text.find('}', open);
-        if (close == std::string::npos)
-            break;
-        std::string obj = text.substr(open, close - open + 1);
-        JobTiming t;
-        double cores = 0, smt = 0, body = 0;
-        if (!field(obj, "cores", cores) ||
-            !field(obj, "smt", smt) ||
-            !field(obj, "body", body) ||
-            !field(obj, "seconds", t.seconds))
-            fatal(cat("malformed job_seconds entry in '", path,
-                      "': ", obj));
-        t.config.cores = static_cast<int>(cores);
-        t.config.smt = static_cast<int>(smt);
-        t.bodySize = static_cast<size_t>(body);
-        t.cached = obj.find("\"cached\": true") !=
-                   std::string::npos;
-        out.push_back(t);
-        pos = close + 1;
-    }
-    return out;
-}
-
-/**
- * The calibration step (--calibrate): refit the JobCostModel
- * constants from the per-job wall seconds a previous run recorded
- * with --metrics-json. Exits the process (no measurement).
- */
-[[noreturn]] void
-runCalibrate(const std::string &metrics_path)
-{
-    std::vector<JobTiming> timings =
-        readMetricsTimings(metrics_path);
-    CostCalibration cal = calibrateJobCostModel(timings);
-    std::cout << "calibrate: " << timings.size()
-              << " recorded jobs, " << cal.used
-              << " cold measurements used\n";
-    if (!cal.ok)
-        fatal("--calibrate: not enough signal to fit (need at "
-              "least two cold jobs of different threads x body "
-              "size and a positive slope) — run a cold campaign "
-              "with a mixed config set first");
-    JobCostModel def;
-    std::cout << "  per-job overhead:    "
-              << TextTable::num(cal.perJobSeconds * 1e6, 1)
-              << " us\n"
-              << "  per slot-thread:     "
-              << TextTable::num(cal.perSlotThreadSeconds * 1e9, 2)
-              << " ns\n"
-              << "  fit R^2:             "
-              << TextTable::num(cal.r2, 3) << "\n"
-              << "  fitted JobCostModel: perJob = "
-              << TextTable::num(cal.fitted.perJob, 1)
-              << " slot-units (shipped default "
-              << TextTable::num(def.perJob, 1) << ")\n";
-    double rel = def.perJob > 0
-                     ? cal.fitted.perJob / def.perJob
-                     : 0.0;
-    if (rel > 2.0 || (rel > 0 && rel < 0.5))
-        std::cout << "the fitted per-job overhead differs from "
-                     "the shipped default by more than 2x on "
-                     "this host; consider updating "
-                     "JobCostModel::perJob\n";
-    else
-        std::cout << "the shipped default is within 2x of this "
-                     "host's fit; no change needed\n";
-    std::exit(0);
 }
 
 /**
@@ -515,11 +406,6 @@ main(int argc, char **argv)
                    "job_seconds array: only the aggregate fields "
                    "the CI perf gate compares (the format "
                    "BENCH_baseline.json is committed in)");
-    args.addOption("calibrate", "",
-                   "no measurement: refit the JobCostModel "
-                   "constants from the per-job wall seconds of a "
-                   "previous run's --metrics-json file and print "
-                   "them");
     args.addFlag("resume",
                  "list the jobs an interrupted campaign left "
                  "unfinished (the manifest's jobs whose cache entry "
@@ -591,13 +477,6 @@ main(int argc, char **argv)
             fatal("--fleet-status is a standalone step; it does "
                   "not combine with --merge, --serve or --resume");
         runFleetStatus(spec.cacheDir);
-    }
-
-    if (!args.get("calibrate").empty()) {
-        if (args.getFlag("merge") || args.getFlag("resume"))
-            fatal("--calibrate is a standalone step; it does not "
-                  "combine with --merge or --resume");
-        runCalibrate(args.get("calibrate"));
     }
 
     Architecture arch = Architecture::get(args.get("arch"));

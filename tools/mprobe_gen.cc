@@ -60,8 +60,7 @@ main(int argc, char **argv)
     else if (args.get("data") != "random")
         fatal("--data must be zero|pattern|random");
 
-    Synthesizer synth(arch,
-                      static_cast<uint64_t>(args.getInt("seed")));
+    Synthesizer synth(arch, parseUint64(args.get("seed"), "--seed"));
     synth.addPass<SkeletonPass>(
         static_cast<size_t>(args.getInt("size")));
     synth.addPass<InstructionMixPass>(cands);

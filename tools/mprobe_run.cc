@@ -14,6 +14,7 @@
 #include "microprobe/synthesizer.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
+#include "util/str.hh"
 #include "util/table.hh"
 
 using namespace mprobe;
@@ -47,8 +48,7 @@ main(int argc, char **argv)
     std::vector<ChipConfig> configs =
         parseConfigList(args.get("configs"), "--configs");
 
-    Synthesizer synth(arch,
-                      static_cast<uint64_t>(args.getInt("seed")));
+    Synthesizer synth(arch, parseUint64(args.get("seed"), "--seed"));
     synth.addPass<SkeletonPass>(
         static_cast<size_t>(args.getInt("size")));
     synth.addPass<InstructionMixPass>(

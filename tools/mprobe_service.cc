@@ -81,8 +81,12 @@ main(int argc, char **argv)
     opts.dropDir = args.get("drop-dir");
     opts.cacheDir = args.get("cache-dir");
     opts.resultsDir = args.get("results-dir");
-    if (!args.get("threads").empty())
-        opts.threads = static_cast<int>(args.getInt("threads"));
+    if (!args.get("threads").empty()) {
+        // Parsed as the spec key, so the flag takes exactly its values.
+        CampaignSpec parsed;
+        applySpecSetting(parsed, "threads", args.get("threads"), "--threads");
+        opts.threads = parsed.threads;
+    }
     if (!args.get("poll-seconds").empty())
         opts.pollSeconds = parseDouble(args.get("poll-seconds"),
                                        "--poll-seconds");
