@@ -72,27 +72,31 @@ CampaignSpec::summary() const
     return os.str();
 }
 
+ChipConfig
+parseConfig(const std::string &s, const std::string &context)
+{
+    auto parts = split(trim(s), '-');
+    if (parts.size() != 2)
+        fatal(cat("bad config '", trim(s), "' (want cores-smt) in ",
+                  context));
+    const long cores = parseInt(parts[0], context);
+    const long smt = parseInt(parts[1], context);
+    ChipConfig cfg{static_cast<int>(cores), static_cast<int>(smt)};
+    // The round trip catches a value that wraps into range.
+    if (cfg.cores != cores || cfg.smt != smt || !cfg.valid())
+        fatal(cat("bad config '", trim(s),
+                  "' (want 1-8 cores and SMT 1, 2 or 4) in ", context));
+    return cfg;
+}
+
 std::vector<ChipConfig>
 parseConfigList(const std::string &s, const std::string &context)
 {
     if (toLower(trim(s)) == "all")
         return ChipConfig::all();
     std::vector<ChipConfig> out;
-    for (const auto &c : split(s, ',')) {
-        auto parts = split(trim(c), '-');
-        if (parts.size() != 2)
-            fatal(cat("bad config '", trim(c),
-                      "' (want cores-smt) in ", context));
-        const long cores = parseInt(parts[0], context);
-        const long smt = parseInt(parts[1], context);
-        ChipConfig cfg{static_cast<int>(cores), static_cast<int>(smt)};
-        // The round trip catches a value that wraps into range.
-        if (cfg.cores != cores || cfg.smt != smt || !cfg.valid())
-            fatal(cat("bad config '", trim(c),
-                      "' (want 1-8 cores and SMT 1, 2 or 4) in ",
-                      context));
-        out.push_back(cfg);
-    }
+    for (const auto &c : split(s, ','))
+        out.push_back(parseConfig(c, context));
     if (out.empty())
         fatal(cat("empty config list in ", context));
     return out;
@@ -198,6 +202,12 @@ parseBenchCategory(const std::string &s, const std::string &context)
 
 } // namespace
 
+size_t
+parseBodySize(const std::string &s, const std::string &context)
+{
+    return static_cast<size_t>(intAtLeast(s, 2, "body_size", context));
+}
+
 void
 applySpecSetting(CampaignSpec &spec, const std::string &key,
                  const std::string &value, const std::string &context)
@@ -256,8 +266,7 @@ applySpecSetting(CampaignSpec &spec, const std::string &key,
     } else if (key == "seed") {
         spec.suite.seed = parseUint64(value, context);
     } else if (key == "body_size") {
-        // SkeletonPass needs room for at least two instructions.
-        spec.suite.bodySize = static_cast<size_t>(atLeast(2));
+        spec.suite.bodySize = parseBodySize(value, context);
     } else if (key == "per_memory_group") {
         spec.suite.perMemoryGroup = atLeast(0);
     } else if (key == "memory_count") {
@@ -277,6 +286,30 @@ applySpecSetting(CampaignSpec &spec, const std::string &key,
     }
 }
 
+namespace
+{
+
+/** Whether trimmed spec line @p s is a setting: not blank and not
+ * a comment. */
+bool
+isSettingLine(const std::string &s)
+{
+    return !s.empty() && s[0] != '#';
+}
+
+} // namespace
+
+bool
+specHasSettings(const std::string &text)
+{
+    std::istringstream in(text);
+    std::string line;
+    while (std::getline(in, line))
+        if (isSettingLine(trim(line)))
+            return true;
+    return false;
+}
+
 CampaignSpec
 parseCampaignSpecText(const std::string &text,
                       const std::string &origin)
@@ -290,7 +323,7 @@ parseCampaignSpecText(const std::string &text,
         ++lineno;
         std::string context = cat(origin, ":", lineno);
         std::string s = trim(line);
-        if (s.empty() || s[0] == '#')
+        if (!isSettingLine(s))
             continue;
         // Split on the first '=' only: values may contain '='
         // (e.g. cache_dir paths).
@@ -313,15 +346,21 @@ parseCampaignSpecText(const std::string &text,
     return spec;
 }
 
-CampaignSpec
-loadCampaignSpec(const std::string &path)
+std::string
+readCampaignSpecText(const std::string &path)
 {
     std::ifstream f(path);
     if (!f)
         fatal(cat("cannot open campaign spec '", path, "'"));
     std::ostringstream os;
     os << f.rdbuf();
-    return parseCampaignSpecText(os.str(), path);
+    return os.str();
+}
+
+CampaignSpec
+loadCampaignSpec(const std::string &path)
+{
+    return parseCampaignSpecText(readCampaignSpecText(path), path);
 }
 
 } // namespace mprobe

@@ -194,13 +194,29 @@ void applySpecSetting(CampaignSpec &spec, const std::string &key,
 CampaignSpec parseCampaignSpecText(const std::string &text,
                                    const std::string &origin);
 
+/** The text of spec file @p path; fatal when it cannot be opened. */
+std::string readCampaignSpecText(const std::string &path);
+
 /** Load and parse a spec file. */
 CampaignSpec loadCampaignSpec(const std::string &path);
+
+/** Whether spec-file @p text sets any key. A text of blank and
+ * comment lines parses to the full default campaign. */
+bool specHasSettings(const std::string &text);
 
 /** Parse "all" or a comma-separated "cores-smt" list; a
  * configuration outside ChipConfig::all() is fatal. */
 std::vector<ChipConfig> parseConfigList(const std::string &s,
                                         const std::string &context);
+
+/** Parse one "cores-smt" configuration; one outside
+ * ChipConfig::all() is fatal. */
+ChipConfig parseConfig(const std::string &s, const std::string &context);
+
+/** Parse a loop body size as the `body_size` key takes it: 2 (the
+ * skeleton's loop needs two slots) to INT_MAX; anything else is
+ * fatal. */
+size_t parseBodySize(const std::string &s, const std::string &context);
 
 } // namespace mprobe
 

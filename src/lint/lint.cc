@@ -271,10 +271,10 @@ struct HotPathFunction
 };
 
 /** The hot path: the core simulator's entry point and the
- * fixed-SMT-width loop it dispatches to, and the cache walk every
- * memory op of that loop takes. Every definition of each
- * (overloads, explicit specializations) is scanned, and each must
- * have at least one in its file. */
+ * fixed-SMT-width loop it dispatches to (live and traced), and the
+ * cache walk every memory op of the live loop takes. Every
+ * definition of each (overloads, explicit specializations) is
+ * scanned, and each must have at least one in its file. */
 const HotPathFunction kHotPathFunctions[] = {
     {"src/sim/core.cc", "simulateCoreDecoded"},
     {"src/sim/core.cc", "runCoreLoop"},

@@ -148,6 +148,14 @@ std::vector<BootstrapEntry>
 bootstrapArchitecture(Architecture &arch, const Machine &machine,
                       const BootstrapOptions &opts)
 {
+    // Checked here, not by each worker's first run, so a bad
+    // request fails once.
+    if (!opts.config.valid())
+        fatal(cat("bootstrap: bad configuration ", opts.config.label(),
+                  " (want 1-8 cores and SMT 1, 2 or 4)"));
+    if (opts.bodySize < 2)
+        fatal(cat("bootstrap: body size ", opts.bodySize,
+                  " is below 2"));
     std::vector<Isa::OpIndex> ops;
     for (size_t i = 0; i < arch.isa().size(); ++i) {
         auto op = static_cast<Isa::OpIndex>(i);

@@ -101,7 +101,12 @@ CampaignService::ingestSpec(const std::string &path)
     try {
         ScopedFatalThrows guard;
         obs::TraceSpan span("service.ingest");
-        CampaignSpec spec = loadCampaignSpec(path);
+        const std::string text = readCampaignSpecText(path);
+        // An empty spec is the full default Table-2 campaign, never
+        // what a client that drops a file means to submit.
+        if (!specHasSettings(text))
+            fatal("the spec sets no key");
+        CampaignSpec spec = parseCampaignSpecText(text, path);
         if (spec.sharded())
             warn(cat("service: campaign '", name,
                      "': the shard key is meaningless under the "
@@ -149,6 +154,10 @@ CampaignService::ingestSpec(const std::string &path)
 size_t
 CampaignService::ingestScan()
 {
+    // A new spec is ingested once two consecutive scans see the
+    // same size and modification time: a client still writing the
+    // file in place changes one of them between scans.
+    std::map<std::string, SpecStamp> unsettled;
     std::vector<std::string> fresh;
     std::error_code ec;
     for (const auto &entry :
@@ -162,8 +171,18 @@ CampaignService::ingestScan()
             continue;
         if (ingestedFiles.count(p))
             continue;
-        fresh.push_back(p);
+        std::error_code size_ec, time_ec;
+        SpecStamp stamp{fs::file_size(entry.path(), size_ec),
+                        fs::last_write_time(entry.path(), time_ec)};
+        if (size_ec || time_ec)
+            continue;
+        auto seen = pendingSpecs.find(p);
+        if (seen != pendingSpecs.end() && seen->second == stamp)
+            fresh.push_back(p);
+        else
+            unsettled.emplace(p, stamp);
     }
+    pendingSpecs = std::move(unsettled);
     // Deterministic ingest order when several specs land between
     // scans (directory iteration order is unspecified).
     std::sort(fresh.begin(), fresh.end());
@@ -344,7 +363,8 @@ CampaignService::run()
                                    return c->complete;
                                });
         }
-        if (opts.exitWhenIdle && idle && ingested == 0)
+        if (opts.exitWhenIdle && idle && ingested == 0 &&
+            pendingSpecs.empty())
             break;
         std::this_thread::sleep_for(
             std::chrono::duration<double>(opts.pollSeconds));

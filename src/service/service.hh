@@ -12,7 +12,9 @@
  *
  *   - clients submit a campaign by dropping a `<name>.spec` file
  *     (the campaign/spec.hh format) into the watched drop
- *     directory;
+ *     directory; a spec is read once two consecutive scans see the
+ *     same size and modification time, and one that sets no key is
+ *     refused;
  *   - the watcher thread ingests each new spec while campaigns are
  *     measured: Campaign::expand() generates the workloads, expands
  *     the job list and persists a per-campaign manifest under
@@ -37,10 +39,14 @@
 #define SERVICE_SERVICE_HH
 
 #include <atomic>
+#include <cstdint>
+#include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "campaign/campaign.hh"
@@ -78,8 +84,9 @@ struct ServiceOptions
     std::string archName = "POWER7";
     /**
      * Exit once every ingested campaign is complete and a
-     * drop-directory scan finds nothing new (CI/tests). False runs
-     * until requestStop().
+     * drop-directory scan finds nothing new and no spec still
+     * waiting to settle (CI/tests). False runs until
+     * requestStop().
      */
     bool exitWhenIdle = false;
 };
@@ -166,6 +173,12 @@ class CampaignService
     /** Touched only by the run() watcher thread (ingestScan);
      * needs no lock. */
     std::set<std::string> ingestedFiles;
+    /** A spec file's size and modification time at one scan. */
+    using SpecStamp =
+        std::pair<std::uintmax_t, std::filesystem::file_time_type>;
+    /** New specs the last scan saw, not yet ingested because they
+     * changed since the scan before (watcher thread only). */
+    std::map<std::string, SpecStamp> pendingSpecs;
     std::atomic<bool> stopRequested{false};
     std::thread runner;
 

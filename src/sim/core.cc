@@ -64,6 +64,8 @@ struct DecodedThread
     double wake = 0.0;
     double *readyAt = nullptr;    // per body slot
     uint32_t *cursors = nullptr;  // per stream
+    /** The thread's next access in the access trace (traced loop). */
+    size_t traceAt = 0;
 };
 
 /** Units that fired in a step, by its mask of FXU, LSU and VSU. */
@@ -98,10 +100,16 @@ earliestPipe(const double *pipes, int u)
 
 /**
  * The cycle loop at a fixed SMT width @p N (1, 2 or 4), over threads
- * @p ts set up by simulateCoreDecoded. A fixed width unrolls the
- * per-thread loops and makes the dispatch rotation a wrapping
- * counter, which advances on every scheduler step, including steps
- * that issue nothing.
+ * @p ts set up by simulateCoreDecoded, into @p res. A fixed width
+ * unrolls the per-thread loops and makes the dispatch rotation a
+ * wrapping counter, which advances on every scheduler step,
+ * including steps that issue nothing.
+ *
+ * The live loop (@p Traced false) serves each memory access from
+ * @p cache. The traced loop reads each thread's next hit level from
+ * @p trace instead and never touches a cache; it returns false,
+ * with @p res unset, when a thread needs an access past the trace's
+ * end.
  *
  * Two skips keep the result bit-identical to probing every thread
  * in every step. They rest on the scheduler invariants listed in
@@ -114,10 +122,11 @@ earliestPipe(const double *pipes, int u)
  * stall-skip target is computed after the step, and only in such
  * steps, by the original per-thread rules.
  */
-template <int N>
-CoreResult
+template <int N, bool Traced>
+bool
 runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
-            CacheHierarchy &cache, DecodedThread *ts)
+            CacheHierarchy *cache, const AccessTrace *trace,
+            DecodedThread *ts, CoreResult &res)
 {
     const int lat_mem = opts.memLatency;
 
@@ -147,6 +156,8 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
     const uint64_t *stream_lines = dec.streamLines.data();
     const uint32_t *stream_off = dec.streamOffset.data();
     const uint32_t *stream_len = dec.streamLen.data();
+    const uint64_t *trace_levels = Traced ? trace->levels.data() : nullptr;
+    const size_t trace_len = Traced ? trace->accesses : 0;
 
     // Hidden unit-overlap energy of a step in which 2 or 3 of the
     // FXU, LSU and VSU fire (the only units that count).
@@ -272,12 +283,20 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
                     int l = 0;
                     const int32_t sid = stream_id[pc];
                     if (sid >= 0) {
-                        uint32_t &cur = t.cursors[sid];
-                        uint64_t addr = threadAddr(
-                            stream_lines[stream_off[sid] + cur], tid);
-                        if (++cur == stream_len[sid])
-                            cur = 0;
-                        l = static_cast<int>(cache.access(addr));
+                        if constexpr (Traced) {
+                            const size_t k = t.traceAt++;
+                            if (k == trace_len)
+                                return false;
+                            l = static_cast<int>(
+                                AccessTrace::unpack(trace_levels, k));
+                        } else {
+                            uint32_t &cur = t.cursors[sid];
+                            uint64_t addr = threadAddr(
+                                stream_lines[stream_off[sid] + cur], tid);
+                            if (++cur == stream_len[sid])
+                                cur = 0;
+                            l = static_cast<int>(cache->access(addr));
+                        }
                     }
                     switch (l) {
                       case 0: live.l1Hits += 1; break;
@@ -438,12 +457,102 @@ runCoreLoop(const DecodedProgram &dec, const CoreSimOptions &opts,
                       " exceeded cycle cap"));
     }
 
-    CoreResult res;
     res.window = live - snapshot;
     res.window.cycles = now - snapshot_time;
     res.iterations = static_cast<int>(target - warm);
     res.threads = N;
-    return res;
+    return true;
+}
+
+/** runCoreLoop at the width @p threads (1, 2 or 4). */
+template <bool Traced>
+bool
+runAtWidth(int threads, const DecodedProgram &dec,
+           const CoreSimOptions &opts, CacheHierarchy *cache,
+           const AccessTrace *trace, DecodedThread *ts, CoreResult &res)
+{
+    switch (threads) {
+      case 1: return runCoreLoop<1, Traced>(dec, opts, cache, trace, ts, res);
+      case 2: return runCoreLoop<2, Traced>(dec, opts, cache, trace, ts, res);
+      default: return runCoreLoop<4, Traced>(dec, opts, cache, trace, ts, res);
+    }
+}
+
+/** Fresh per-thread state for a simulation of @p threads threads,
+ * its arrays from @p arena (reset first). */
+void
+initThreads(const DecodedProgram &dec, int threads, SimArena &arena,
+            DecodedThread *ts)
+{
+    arena.reset();
+    const size_t ranges = dec.threadSlots.size();
+    const size_t n = dec.bodySize;
+    const size_t n_streams = dec.streamLen.size();
+    for (int i = 0; i < threads; ++i) {
+        DecodedThread &t = ts[i];
+        t = DecodedThread();
+        const DecodedProgram::SlotRange &r =
+            dec.threadSlots[ranges == 1 ? 0 : static_cast<size_t>(i)];
+        t.pc = t.begin = r.begin;
+        t.end = r.end;
+        t.lastHigh = 0.0 >= dec.transitionGateNj;
+        t.readyAt = arena.alloc<double>(n);
+        std::fill(t.readyAt, t.readyAt + n, 0.0);
+        t.cursors = arena.alloc<uint32_t>(n_streams);
+        std::fill(t.cursors, t.cursors + n_streams, 0u);
+    }
+}
+
+/** Whether two hierarchies have the same levels. */
+bool
+sameGeometry(const std::vector<CacheGeometry> &a,
+             const std::vector<CacheGeometry> &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (size_t i = 0; i < a.size(); ++i)
+        if (a[i].sizeBytes != b[i].sizeBytes || a[i].assoc != b[i].assoc ||
+            a[i].lineBytes != b[i].lineBytes)
+            return false;
+    return true;
+}
+
+/**
+ * Whether, at every level of @p geoms, each set that holds lines of
+ * two or more of @p n threads walking @p addrs holds at most assoc
+ * lines in total.
+ */
+bool
+sharedSetsFit(const std::vector<uint64_t> &addrs,
+              const std::vector<CacheGeometry> &geoms, int n)
+{
+    const uint64_t line_bytes = static_cast<uint64_t>(geoms[0].lineBytes);
+    std::vector<uint64_t> lines;
+    for (uint64_t a : addrs)
+        lines.push_back(a / line_bytes);
+    std::sort(lines.begin(), lines.end());
+    lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
+    std::vector<uint64_t> keys; // set * 4 + thread, one per line
+    for (const CacheGeometry &g : geoms) {
+        const uint64_t set_mask = g.sets() - 1;
+        keys.clear();
+        for (int t = 0; t < n; ++t)
+            for (uint64_t line : lines)
+                keys.push_back(
+                    ((threadAddr(line * line_bytes, t) / line_bytes) &
+                     set_mask) * 4 +
+                    static_cast<uint64_t>(t));
+        std::sort(keys.begin(), keys.end());
+        for (size_t i = 0, j = 0; i < keys.size(); i = j) {
+            unsigned owners = 0;
+            for (j = i; j < keys.size() && keys[j] / 4 == keys[i] / 4; ++j)
+                owners |= 1u << (keys[j] % 4);
+            const bool shared = (owners & (owners - 1)) != 0;
+            if (shared && j - i > static_cast<size_t>(g.assoc))
+                return false;
+        }
+    }
+    return true;
 }
 
 } // namespace
@@ -452,18 +561,8 @@ CacheHierarchy &
 SimScratch::cache(const std::vector<CacheGeometry> &geoms,
                   bool prefetch)
 {
-    bool same = hier && hierPrefetch == prefetch &&
-                hierGeoms.size() == geoms.size();
-    if (same) {
-        for (size_t i = 0; i < geoms.size(); ++i)
-            if (hierGeoms[i].sizeBytes != geoms[i].sizeBytes ||
-                hierGeoms[i].assoc != geoms[i].assoc ||
-                hierGeoms[i].lineBytes != geoms[i].lineBytes) {
-                same = false;
-                break;
-            }
-    }
-    if (!same) {
+    if (!hier || hierPrefetch != prefetch ||
+        !sameGeometry(hierGeoms, geoms)) {
         hier.reset(new CacheHierarchy(geoms, prefetch));
         hierGeoms = geoms;
         hierPrefetch = prefetch;
@@ -475,7 +574,8 @@ SimScratch::cache(const std::vector<CacheGeometry> &geoms,
 
 CoreResult
 simulateCoreDecoded(const DecodedProgram &dec, int threads,
-                    const CoreSimOptions &opts, SimScratch &scratch)
+                    const CoreSimOptions &opts, SimScratch &scratch,
+                    const AccessTrace *trace, TraceUse *use)
 {
     if (threads != 1 && threads != 2 && threads != 4)
         fatal(cat("simulateCore: bad SMT thread count ", threads));
@@ -493,34 +593,108 @@ simulateCoreDecoded(const DecodedProgram &dec, int threads,
                   "decode of ",
                   dec.name));
 
+    if (trace && (trace->bodySize != dec.bodySize ||
+                  trace->prefetch != opts.prefetch ||
+                  !sameGeometry(trace->cacheGeoms, opts.cacheGeoms)))
+        panic(cat("simulateCoreDecoded: the access trace was recorded "
+                  "for another program or cache configuration than ",
+                  dec.name));
+
+    DecodedThread ts[4];
+    CoreResult res;
+    const bool traced = trace && ranges == 1 && trace->validAt(threads);
+    if (traced) {
+        initThreads(dec, threads, scratch.arena, ts);
+        if (runAtWidth<true>(threads, dec, opts, nullptr, trace, ts,
+                             res)) {
+            if (use)
+                *use = TraceUse::Traced;
+            return res;
+        }
+    }
+    if (use)
+        *use = traced ? TraceUse::Overflowed : TraceUse::Live;
+
     CacheHierarchy &cache =
         opts.cacheGeoms.empty()
             ? scratch.cache(CacheHierarchy::p7Geometry(),
                             opts.prefetch)
             : scratch.cache(opts.cacheGeoms, opts.prefetch);
+    initThreads(dec, threads, scratch.arena, ts);
+    runAtWidth<false>(threads, dec, opts, &cache, nullptr, ts, res);
+    return res;
+}
 
-    scratch.arena.reset();
-    const size_t n = dec.bodySize;
-    const size_t n_streams = dec.streamLen.size();
-    DecodedThread ts[4];
-    for (int i = 0; i < threads; ++i) {
-        DecodedThread &t = ts[i];
-        const DecodedProgram::SlotRange &r =
-            dec.threadSlots[ranges == 1 ? 0 : static_cast<size_t>(i)];
-        t.pc = t.begin = r.begin;
-        t.end = r.end;
-        t.lastHigh = 0.0 >= dec.transitionGateNj;
-        t.readyAt = scratch.arena.alloc<double>(n);
-        std::fill(t.readyAt, t.readyAt + n, 0.0);
-        t.cursors = scratch.arena.alloc<uint32_t>(n_streams);
-        std::fill(t.cursors, t.cursors + n_streams, 0u);
-    }
+AccessTrace
+buildAccessTrace(const DecodedProgram &dec, const CoreSimOptions &opts,
+                 SimScratch &scratch)
+{
+    AccessTrace trace;
+    trace.bodySize = dec.bodySize;
+    trace.cacheGeoms = opts.cacheGeoms;
+    trace.prefetch = opts.prefetch;
+    if (dec.threadSlots.size() != 1)
+        return trace;
+    const std::vector<CacheGeometry> geoms =
+        opts.cacheGeoms.empty() ? CacheHierarchy::p7Geometry()
+                                : opts.cacheGeoms;
 
-    switch (threads) {
-      case 1: return runCoreLoop<1>(dec, opts, cache, ts);
-      case 2: return runCoreLoop<2>(dec, opts, cache, ts);
-      default: return runCoreLoop<4>(dec, opts, cache, ts);
+    // The rules every width needs (docs/MODEL.md, "Access-level
+    // traces"): thread offsets are whole lines, line 0 and line 1
+    // fall in different sets, every address is below 2^39, and no
+    // program reads both line 0 and line 1, the line the
+    // prefetcher's start-up fill brings in.
+    const uint64_t line_bytes = static_cast<uint64_t>(geoms[0].lineBytes);
+    bool valid = line_bytes <= 1024;
+    for (const CacheGeometry &g : geoms)
+        valid = valid && g.sets() >= 2;
+    bool line0 = false, line1 = false;
+    for (uint64_t a : dec.streamLines) {
+        valid = valid && a < (1ull << 39);
+        line0 = line0 || a / line_bytes == 0;
+        line1 = line1 || a / line_bytes == 1;
     }
+    const DecodedProgram::SlotRange r = dec.threadSlots[0];
+    auto accesses = [&](size_t pc) {
+        return (dec.flags[pc] & DecodedProgram::kMem) && dec.stream[pc] >= 0;
+    };
+    size_t per_iter = 0;
+    for (size_t pc = r.begin; pc < r.end; ++pc)
+        per_iter += accesses(pc);
+    if (!valid || (line0 && line1) || per_iter == 0)
+        return trace;
+
+    // Hardware thread 1's accesses, in its program order. Its
+    // offset keeps the start-up prefetch from firing.
+    CacheHierarchy &cache = scratch.cache(geoms, opts.prefetch);
+    std::vector<uint32_t> cursors(dec.streamLen.size(), 0u);
+    const long iters =
+        std::max(1L, static_cast<long>(opts.warmupIters) +
+                         opts.measureIters + 1);
+    trace.levels.assign((per_iter * static_cast<size_t>(iters) + 31) / 32,
+                        0);
+    for (long it = 0; it < iters; ++it)
+        for (size_t pc = r.begin; pc < r.end; ++pc) {
+            if (!accesses(pc))
+                continue;
+            const int32_t sid = dec.stream[pc];
+            uint32_t &cur = cursors[static_cast<size_t>(sid)];
+            const uint64_t addr =
+                dec.streamLines[dec.streamOffset[sid] + cur];
+            if (++cur == dec.streamLen[sid])
+                cur = 0;
+            const size_t k = trace.accesses++;
+            trace.levels[k >> 5] |=
+                static_cast<uint64_t>(cache.access(threadAddr(addr, 1)))
+                << ((k & 31) * 2);
+        }
+
+    trace.validWidths = 1u << 1;
+    if (cache.prefetchFills() == 0)
+        for (int n : {2, 4})
+            if (sharedSetsFit(dec.streamLines, geoms, n))
+                trace.validWidths |= 1u << n;
+    return trace;
 }
 
 namespace

@@ -15,11 +15,13 @@
  * One engine runs every simulation: simulateCoreDecoded, over the
  * structure-of-arrays DecodedProgram. simulateCore and
  * simulateCoreHetero validate their programs, decode them and call
- * it. Its cycle loop is compiled once per SMT width (1, 2 and 4).
- * A stalled thread is not probed again before its wake time, and
- * the stall-skip target is computed only in steps where nothing
- * issued; both skips are exact under the scheduler invariants in
- * docs/MODEL.md.
+ * it. Its cycle loop is compiled once per SMT width (1, 2 and 4)
+ * and per memory path: the live path walks the cache hierarchy,
+ * the traced path reads each access's hit level from the
+ * program's AccessTrace. A stalled thread is not probed again
+ * before its wake time, and the stall-skip target is computed only
+ * in steps where nothing issued; both skips are exact under the
+ * scheduler invariants in docs/MODEL.md.
  *
  * Because every micro-benchmark is an endless loop, the core reaches
  * a periodic steady state; the simulator warms up for a few
@@ -143,6 +145,82 @@ class SimScratch
 };
 
 /**
+ * The hit level of every demand access one hardware thread of a
+ * single-program decode makes, in that thread's program order, for
+ * warmupIters + measureIters + 1 loop iterations. The cache walk
+ * that serves an access depends only on the program and the cache
+ * configuration, not on the SMT width or the memory latency, so
+ * one trace serves every core simulation of the program where it
+ * is valid (docs/MODEL.md, "Access-level traces"). buildAccessTrace
+ * records it and checks at which SMT widths replaying it is exact.
+ */
+struct AccessTrace
+{
+    /** Levels, 2 bits each: access k sits at bit 2 * (k % 32) of
+     * word k / 32. */
+    std::vector<uint64_t> levels;
+    /** Accesses recorded. */
+    size_t accesses = 0;
+    /** Bit w is set when the trace is valid at SMT width w. */
+    unsigned validWidths = 0;
+    /** @name What the trace was recorded for (checked on use) */
+    /**@{*/
+    size_t bodySize = 0;
+    std::vector<CacheGeometry> cacheGeoms;
+    bool prefetch = true;
+    /**@}*/
+
+    /** Whether a simulation at @p threads SMT ways may replay it. */
+    bool
+    validAt(int threads) const
+    {
+        return (validWidths >> threads) & 1u;
+    }
+
+    /** The level of access @p k in the packed words @p words. */
+    static HitLevel
+    unpack(const uint64_t *words, size_t k)
+    {
+        return static_cast<HitLevel>((words[k >> 5] >> ((k & 31) * 2)) &
+                                     3u);
+    }
+
+    /** The level of access @p k. */
+    HitLevel at(size_t k) const { return unpack(levels.data(), k); }
+
+    /** Bytes the trace holds. */
+    size_t
+    bytes() const
+    {
+        return sizeof(AccessTrace) + levels.size() * sizeof(uint64_t) +
+               cacheGeoms.size() * sizeof(CacheGeometry);
+    }
+};
+
+/**
+ * Record the access trace of @p dec under @p opts' cache geometry,
+ * prefetcher and iteration counts, on @p scratch's cache hierarchy.
+ * The trace runs hardware thread 1's addresses. A co-run decode, a
+ * decode whose memory slots walk no stream, or a geometry the
+ * replay argument does not cover yields a trace valid at no width.
+ */
+AccessTrace buildAccessTrace(const DecodedProgram &dec,
+                             const CoreSimOptions &opts,
+                             SimScratch &scratch);
+
+/** How a core simulation served its memory accesses. */
+enum class TraceUse
+{
+    /** Walked the cache hierarchy (no trace, or not valid). */
+    Live,
+    /** Replayed the access trace. */
+    Traced,
+    /** Started on the trace, ran past its end, and was rerun on
+     * the cache hierarchy. */
+    Overflowed
+};
+
+/**
  * The core simulator: run @p threads hardware threads over a
  * decoded program on one core. A single-range decode runs one copy
  * per thread; a co-run decode (one slot range per thread, see
@@ -152,11 +230,18 @@ class SimScratch
  * per-Program reference loop kept in tests/reference_core.hh.
  * @p opts must carry the same mispredict penalty and transition
  * gate the decode baked in (checked).
+ *
+ * A @p trace of the same program and cache configuration (checked)
+ * that is valid at @p threads replaces the cache walk; the result
+ * is the same bit for bit. @p use, when given, reports which path
+ * served the simulation.
  */
 CoreResult simulateCoreDecoded(const DecodedProgram &dec,
                                int threads,
                                const CoreSimOptions &opts,
-                               SimScratch &scratch);
+                               SimScratch &scratch,
+                               const AccessTrace *trace = nullptr,
+                               TraceUse *use = nullptr);
 
 } // namespace mprobe
 

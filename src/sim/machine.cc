@@ -224,18 +224,121 @@ struct Machine::RunMemo
     std::map<Key, CoreResult> entries GUARDED_BY(mutex);
 };
 
+/**
+ * Each memory program's access trace (docs/MODEL.md, "Access-level
+ * traces"), keyed by the program's content digest and the options
+ * digest at memory latency 0: the cache walk a trace records never
+ * reads the latency. A program's first simulation at SMT 1 leaves
+ * only a mark, so programs simulated once (bootstrap probes, search
+ * candidates) never pay for a trace; its second simulation, or its
+ * first at SMT 2 or 4, builds the trace outside the lock. Two
+ * threads that miss one key both build, and the second insert is
+ * dropped: the two traces are identical.
+ */
+struct Machine::TraceMemo
+{
+    struct Key
+    {
+        uint64_t program;
+        uint64_t options;
+
+        bool
+        operator<(const Key &o) const
+        {
+            return std::tie(program, options) <
+                   std::tie(o.program, o.options);
+        }
+    };
+
+    /** The trace of @p key for a simulation at @p smt ways, made by
+     * @p build when it is due one; null before that. */
+    template <typename Build>
+    std::shared_ptr<const AccessTrace>
+    get(const Key &key, int smt, Build build)
+    {
+        {
+            MutexLock lock(mutex);
+            auto it = entries.find(key);
+            if (it != entries.end() && it->second)
+                return it->second;
+            if (it == entries.end() && smt < 2) {
+                insert(key, nullptr);
+                return nullptr;
+            }
+        }
+        auto trace = std::make_shared<const AccessTrace>(build());
+        MutexLock lock(mutex);
+        insert(key, trace);
+        return trace;
+    }
+
+  private:
+    /** Bytes charged for a key and its map node. */
+    static constexpr size_t kEntryBytes = 96;
+
+    void
+    insert(const Key &key, std::shared_ptr<const AccessTrace> trace)
+        REQUIRES(mutex)
+    {
+        const size_t add = trace ? trace->bytes() : 0;
+        if (bytes + kEntryBytes + add > kTraceMemoCapBytes) {
+            entries.clear();
+            bytes = 0;
+        }
+        auto [it, fresh] = entries.emplace(key, nullptr);
+        if (fresh)
+            bytes += kEntryBytes;
+        if (!it->second && trace) {
+            it->second = std::move(trace);
+            bytes += add;
+        }
+    }
+
+    Mutex mutex;
+    std::map<Key, std::shared_ptr<const AccessTrace>> entries
+        GUARDED_BY(mutex);
+    size_t bytes GUARDED_BY(mutex) = 0;
+};
+
+namespace
+{
+
+/** Register the access-trace counters, so a run that replays or
+ * overflows no trace still reports them, as 0. */
+void
+registerTraceCounters()
+{
+    obs::counter("core_sims_traced");
+    obs::counter("trace_builds");
+    obs::counter("trace_overflows");
+}
+
+/** Whether a memory slot of @p dec walks a stream. */
+bool
+walksStreams(const DecodedProgram &dec)
+{
+    return std::any_of(dec.stream.begin(), dec.stream.end(),
+                       [](int32_t sid) { return sid >= 0; });
+}
+
+} // namespace
+
 Machine::Machine(const Isa &isa, const GroundTruthParams &p)
     : isaPtr(&isa), exec(isa), params(p),
-      runMemo(std::make_shared<RunMemo>())
+      runMemo(std::make_shared<RunMemo>()),
+      traceMemo(std::make_shared<TraceMemo>())
 {
+    registerTraceCounters();
 }
 
 Machine::Machine(const Isa &isa,
                  const std::vector<CacheGeometry> &geoms,
                  double clock_ghz, const GroundTruthParams &p)
     : isaPtr(&isa), exec(isa), params(p),
-      runMemo(std::make_shared<RunMemo>())
+      runMemo(std::make_shared<RunMemo>()),
+      traceMemo(std::make_shared<TraceMemo>())
 {
+    registerTraceCounters();
     params.clockGhz = clock_ghz;
     simOpts.cacheGeoms = geoms;
 }
@@ -413,7 +516,7 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
             have_decode = true;
         }
         obs::counter("run_core_sims").add();
-        core = simulateTraced(decoded, cfg.smt, lat_mem);
+        core = simulateTraced(decoded, prog_digest, cfg.smt, lat_mem);
         runMemo->insert(key, core);
         return core;
     };
@@ -497,23 +600,38 @@ Machine::decodeTraced(const Program &prog, DecodedProgram &out) const
 }
 
 CoreResult
-Machine::simulateTraced(const DecodedProgram &dec, int smt,
-                        int lat_mem) const
+Machine::simulateTraced(const DecodedProgram &dec, uint64_t prog_digest,
+                        int smt, int lat_mem) const
 {
     SimScratch &scratch = threadScratch();
     obs::TraceSpan span("sim.core");
     span.note("smt", smt);
     span.note("lat_mem", lat_mem);
     CoreSimOptions opts = simOpts;
+    std::shared_ptr<const AccessTrace> trace;
+    if (walksStreams(dec)) {
+        opts.memLatency = 0;
+        trace = traceMemo->get(
+            {prog_digest, simOptionsDigest(opts)}, smt, [&]() {
+                obs::counter("trace_builds").add();
+                return buildAccessTrace(dec, opts, scratch);
+            });
+    }
     opts.memLatency = lat_mem;
-    CoreResult core = simulateCoreDecoded(dec, smt, opts, scratch);
+    TraceUse use = TraceUse::Live;
+    CoreResult core =
+        simulateCoreDecoded(dec, smt, opts, scratch, trace.get(), &use);
+    if (use == TraceUse::Traced)
+        obs::counter("core_sims_traced").add();
+    else if (use == TraceUse::Overflowed)
+        obs::counter("trace_overflows").add();
     obs::gauge("arena_high_water_bytes")
         .max(static_cast<double>(scratch.arena.capacityBytes()));
     return core;
 }
 
 Machine::Batch::Batch(const Machine &machine, const Program &p)
-    : m(machine), prog(p)
+    : m(machine), prog(p), digest(programDigest(p))
 {
     m.decodeTraced(p, decoded);
 }
@@ -531,7 +649,7 @@ Machine::Batch::simAt(int smt, int lat_mem)
             return e.core;
         }
     obs::counter("batch_core_sims").add();
-    CoreResult core = m.simulateTraced(decoded, smt, lat_mem);
+    CoreResult core = m.simulateTraced(decoded, digest, smt, lat_mem);
     memo.push_back({smt, lat_mem, core});
     return memo.back().core;
 }

@@ -166,9 +166,12 @@ struct RunResult
  * a Machine share it too); it never simulates under the lock, and
  * its key covers the program's content, the SMT mode, the effective
  * memory latency and every simOptions() field, so a hit returns
- * exactly what a fresh simulation would. Results depend only on
- * (program, config, salt), so a parallel campaign reproduces a
- * serial one exactly.
+ * exactly what a fresh simulation would. A second mutex-guarded
+ * memo, shared the same way, holds each memory program's access
+ * trace under the same key without the SMT mode and the latency;
+ * run() and every Batch replay it where it is valid, which changes
+ * no result bit. Results depend only on (program, config, salt), so
+ * a parallel campaign reproduces a serial one exactly.
  */
 class Machine
 {
@@ -219,6 +222,12 @@ class Machine
     static constexpr size_t kRunMemoCap = 16384;
 
     /**
+     * Bytes the access-trace memo holds before it is cleared. A
+     * sweep or Table-2 campaign holds well under 1 MB.
+     */
+    static constexpr size_t kTraceMemoCapBytes = 16 << 20;
+
+    /**
      * Decode-once batched evaluator: decodes one program on
      * construction and serves run() calls for any number of
      * CMP/SMT x operating-point requests over the decoded form,
@@ -250,6 +259,8 @@ class Machine
         const Machine &m;
         const Program &prog;
         DecodedProgram decoded;
+        /** Content digest of prog, the trace memo's key. */
+        uint64_t digest;
         struct MemoEntry
         {
             int smt;
@@ -306,6 +317,9 @@ class Machine
     /** Finished core simulations shared by run() (machine.cc). */
     struct RunMemo;
     std::shared_ptr<RunMemo> runMemo;
+    /** Access traces shared by run() and Batch (machine.cc). */
+    struct TraceMemo;
+    std::shared_ptr<TraceMemo> traceMemo;
 
     double staticCmpWatts(int cores) const;
     double sensorize(double watts, uint64_t seed) const;
@@ -328,9 +342,13 @@ class Machine
     /** Decode @p prog for this machine's options, traced as
      * sim.decode. */
     void decodeTraced(const Program &prog, DecodedProgram &out) const;
-    /** One core simulation at (@p smt, @p lat_mem) on the calling
-     * thread's scratch, traced as sim.core. */
-    CoreResult simulateTraced(const DecodedProgram &dec, int smt,
+    /** One core simulation of @p dec (the decode of the program
+     * whose content digest is @p prog_digest) at (@p smt,
+     * @p lat_mem) on the calling thread's scratch, replaying the
+     * program's access trace where it is valid, traced as
+     * sim.core. */
+    CoreResult simulateTraced(const DecodedProgram &dec,
+                              uint64_t prog_digest, int smt,
                               int lat_mem) const;
     /** Shared tail of every run variant: power composition and
      * sensor readout from a finished core simulation. */

@@ -495,6 +495,41 @@ TEST(RunMemo, EightThreadsMatchSerialFreshRuns)
     }
 }
 
+TEST(TraceMemo, ProgramsSimulatedOnceAtSmt1BuildNoTrace)
+{
+    // A memory program gets an access trace at its first simulation
+    // at SMT 2 or 4, or its second at any width; a memory-free one
+    // never does. Copies of a machine share the traces. One-core
+    // configurations keep run() to one simulation each.
+    auto builds = [] { return obs::counter("trace_builds").value(); };
+    auto traced = [] { return obs::counter("core_sims_traced").value(); };
+    const Program alu = loopOf("subf", 128, 0);
+    const Program mem = memLoop(HitLevel::L2);
+    Machine m(isa);
+    const uint64_t b0 = builds(), t0 = traced();
+    m.run(alu, {1, 2});
+    m.run(alu, {1, 4}, m.operatingPoint(2.5));
+    EXPECT_EQ(builds(), b0);
+    RunResult first = m.run(mem, {1, 1});
+    EXPECT_EQ(builds(), b0);
+    EXPECT_EQ(traced(), t0);
+    RunResult second = m.run(mem, {1, 1}, m.operatingPoint(2.5));
+    EXPECT_EQ(builds(), b0 + 1);
+    EXPECT_EQ(traced(), t0 + 1);
+    Machine copy = m;
+    RunResult smt4 = copy.run(mem, {1, 4});
+    EXPECT_EQ(builds(), b0 + 1);
+    EXPECT_EQ(traced(), t0 + 2);
+    Machine other(isa);
+    other.run(mem, {1, 2});
+    EXPECT_EQ(builds(), b0 + 2);
+    EXPECT_EQ(traced(), t0 + 3);
+    EXPECT_EQ(obs::counter("trace_overflows").value(), 0u);
+    expectSameResult(first, freshRun(mem, {1, 1}, 0.0, 0));
+    expectSameResult(second, freshRun(mem, {1, 1}, 2.5, 0));
+    expectSameResult(smt4, freshRun(mem, {1, 4}, 0.0, 0));
+}
+
 TEST(RunMemo, ClearingAtTheCapKeepsResultsExact)
 {
     // Distinct tiny programs keep the cap's worth of simulations

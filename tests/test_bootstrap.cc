@@ -202,3 +202,24 @@ TEST(Bootstrap, ThreadCountDoesNotChangeResults)
     }
     EXPECT_EQ(serial_text, parallel_text);
 }
+
+TEST(BootstrapDeath, BadRequestFailsOnceBeforeAnyWorker)
+{
+    // A configuration or body size the machine cannot take fails
+    // with one message, not one per worker thread: the whole
+    // stderr must be that one line.
+    const std::pair<ChipConfig, size_t> bad[] = {
+        {{9, 1}, 256}, {{8, 3}, 256}, {{8, 1}, 1}};
+    for (const auto &[config, body] : bad) {
+        Architecture arch = Architecture::get("POWER7");
+        Machine machine{arch.isa()};
+        BootstrapOptions opts;
+        opts.config = config;
+        opts.bodySize = body;
+        opts.threads = 4;
+        EXPECT_EXIT(bootstrapArchitecture(arch, machine, opts),
+                    testing::ExitedWithCode(1),
+                    "^fatal: bootstrap: [^\n]*\n$")
+            << config.label() << " body " << body;
+    }
+}

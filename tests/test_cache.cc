@@ -199,6 +199,28 @@ TEST(CacheHierarchy, PrefetcherDetectsSequentialStream)
     EXPECT_LT(mem_hits, 40);
 }
 
+TEST(CacheHierarchy, StartUpPrefetchFiresOnLineZeroOnly)
+{
+    // The prefetcher starts with no last line (~0ull), and ~0ull + 1
+    // wraps to line 0: a first access to line 0 looks like the
+    // second of two consecutive lines and fills line 1. A first
+    // access anywhere else fills nothing. A reset restores the same
+    // start (docs/MODEL.md, "Known limitations").
+    CacheHierarchy zero(CacheHierarchy::p7Geometry(), true);
+    CacheHierarchy other(CacheHierarchy::p7Geometry(), true);
+    for (const char *start : {"fresh", "reset"}) {
+        SCOPED_TRACE(start);
+        EXPECT_EQ(zero.access(0), HitLevel::Mem);
+        EXPECT_EQ(zero.prefetchFills(), 1u);
+        EXPECT_TRUE(zero.level(0).probe(128));
+        EXPECT_EQ(other.access(128), HitLevel::Mem);
+        EXPECT_EQ(other.prefetchFills(), 0u);
+        EXPECT_FALSE(other.level(0).probe(256));
+        zero.reset();
+        other.reset();
+    }
+}
+
 TEST(CacheHierarchy, PrefetcherOffMissesEverything)
 {
     CacheHierarchy h(CacheHierarchy::p7Geometry(), false);

@@ -365,6 +365,35 @@ TEST(CampaignSpecDeath, OverrideSettingNamesTheFlag)
     }
 }
 
+TEST(CampaignSpecDeath, ToolConfigAndBodySizeAreBounded)
+{
+    // mprobe_bootstrap's --cores/--smt pair and every tool's --size:
+    // a value that wraps into range, a configuration the machine
+    // cannot run, or a body below two slots fails where it is
+    // parsed.
+    const char *const configs[][2] = {
+        {"4294967297-1", "bad config '4294967297-1' .* in --cores/--smt"},
+        {"9-1", "bad config '9-1' .* in --cores/--smt"},
+        {"8-3", "bad config '8-3' .* in --cores/--smt"},
+        {"1-1,2-1", "bad config '1-1,2-1' \\(want cores-smt\\)"},
+    };
+    for (const auto &c : configs)
+        EXPECT_EXIT(parseConfig(c[0], "--cores/--smt"),
+                    testing::ExitedWithCode(1), c[1])
+            << c[0];
+    const char *const sizes[][2] = {
+        {"1", "body_size must be >= 2 in --size"},
+        {"-1", "body_size must be >= 2 in --size"},
+        {"4294967298", "body_size must be <= 2147483647 in --size"},
+    };
+    for (const auto &b : sizes)
+        EXPECT_EXIT(parseBodySize(b[0], "--size"),
+                    testing::ExitedWithCode(1), b[1])
+            << b[0];
+    EXPECT_EQ(parseConfig("8-4", "--cores/--smt").threads(), 32);
+    EXPECT_EQ(parseBodySize("2", "--size"), 2u);
+}
+
 TEST(CampaignSpec, SeedAndSaltTakeEvery64BitValue)
 {
     // Three salts that used to clamp to one value (and one job key);

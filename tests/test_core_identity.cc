@@ -9,6 +9,10 @@
  * programs and body sizes, and bodies that drive each of the
  * engine's stall-skip paths. The reference loop runs on the frozen
  * cache model of reference_cache.hh, so a cache change shows here.
+ * The traced memory path (an AccessTrace replayed instead of the
+ * cache walk) is held to the same reference, and each validity rule
+ * of docs/MODEL.md "Access-level traces" has a program that breaks
+ * it and must fall back to the live path.
  */
 
 #include <gtest/gtest.h>
@@ -144,18 +148,25 @@ struct Corpus
         return sequenceLoop({op}, n, dep);
     }
 
+    /** loopOf(@p op) with every memory slot walking @p stream. */
+    Program
+    streamLoopOf(const std::string &op, const MemStream &stream)
+    {
+        Program p = loopOf(op);
+        p.streams.push_back(stream);
+        for (auto &pi : p.body)
+            if (arch.isa().at(pi.op).isMemory())
+                pi.stream = 0;
+        return p;
+    }
+
     /** loopOf(@p op) with every memory slot walking one stream
      * served from @p level. */
     Program
     streamLoopOf(const std::string &op, HitLevel level)
     {
-        Program p = loopOf(op);
         AnalyticalCacheModel cm(arch.uarch());
-        p.streams.push_back(cm.makeStream(level, 0).stream);
-        for (auto &pi : p.body)
-            if (arch.isa().at(pi.op).isMemory())
-                pi.stream = 0;
-        return p;
+        return streamLoopOf(op, cm.makeStream(level, 0).stream);
     }
 
     /** A dependent mixed body with a conditional branch in every
@@ -205,6 +216,17 @@ corpus()
  * first-pass latency of the swept frequencies). */
 constexpr int kContendedLatencies[] = {480, 900};
 
+/** Whether a memory slot of @p dec walks a stream. */
+bool
+walksStreams(const DecodedProgram &dec)
+{
+    return std::any_of(dec.stream.begin(), dec.stream.end(),
+                       [](int32_t sid) { return sid >= 0; });
+}
+
+/** AccessTrace::validWidths of a trace valid at SMT 1, 2 and 4. */
+constexpr unsigned kEveryWidth = (1u << 1) | (1u << 2) | (1u << 4);
+
 std::string
 mixName(const std::vector<const Program *> &mix)
 {
@@ -253,35 +275,191 @@ TEST(CoreIdentity, PerfCorpusMatchesReference)
     EXPECT_EQ(mismatches, 0);
 }
 
+TEST(CoreIdentity, TracedPerfCorpusMatchesReference)
+{
+    // Every program at every SMT width and at memory latencies of
+    // 132, 220 and 374 cycles (1.8 GHz, the nominal clock, and a
+    // contended run): the replayed trace, the live cache walk and
+    // the reference agree to the bit. Every memory program of the
+    // corpus must be valid at every width, so a validity check
+    // that turns stricter shows here.
+    Corpus &c = corpus();
+    ExecModel exec(c.arch.isa());
+    DecodedProgram dec;
+    SimScratch scratch;
+    int memory_programs = 0, traced = 0, mismatches = 0;
+    for (const Program &p : c.programs) {
+        const CoreSimOptions base = c.options(0);
+        exec.decode(p, base.mispredictPenalty, base.transitionGateNj,
+                    dec);
+        const AccessTrace trace = buildAccessTrace(dec, base, scratch);
+        const bool memory = walksStreams(dec);
+        memory_programs += memory;
+        if (memory)
+            EXPECT_EQ(trace.validWidths, kEveryWidth) << p.name;
+        else
+            EXPECT_EQ(trace.validWidths, 0u) << p.name;
+        for (int smt : {1, 2, 4})
+            for (int lat : {132, 220, 374}) {
+                SCOPED_TRACE(p.name + " smt " + std::to_string(smt) +
+                             " lat " + std::to_string(lat));
+                CoreSimOptions o = c.options(lat);
+                TraceUse use = TraceUse::Live;
+                CoreResult got =
+                    simulateCoreDecoded(dec, smt, o, scratch, &trace, &use);
+                EXPECT_EQ(use, memory ? TraceUse::Traced : TraceUse::Live);
+                traced += use == TraceUse::Traced;
+                mismatches += countMismatches(
+                    got, simulateCoreDecoded(dec, smt, o, scratch));
+                mismatches += countMismatches(
+                    got, reference::simulateCore(exec, p, smt, o));
+            }
+    }
+    EXPECT_GT(memory_programs, 0);
+    EXPECT_EQ(traced, memory_programs * 3 * 3);
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CoreIdentity, EachTraceRuleFallsBackToTheLivePath)
+{
+    // One program per validity rule, each rejected at the widths
+    // its rule covers and still equal to the reference there.
+    Corpus &c = corpus();
+    ExecModel exec(c.arch.isa());
+    auto stream = [](std::vector<uint64_t> lines) {
+        MemStream s;
+        for (uint64_t line : lines)
+            s.lines.push_back(line * 128);
+        return s;
+    };
+    struct Case
+    {
+        Program prog;
+        unsigned widths;
+    };
+    // Five lines on L1 set 2 and five on set 10: thread 1's copies
+    // of the first five land on set 10 beside thread 0's, ten
+    // lines in an 8-way set.
+    std::vector<uint64_t> overfill;
+    for (uint64_t k = 1; k <= 5; ++k) {
+        overfill.push_back(2 + 32 * k);
+        overfill.push_back(10 + 32 * k);
+    }
+    // Lines 1000 to 1511 in order, twice the L1: each line and the
+    // next start the prefetcher, which fills the line after them.
+    std::vector<uint64_t> walk;
+    for (uint64_t line = 1000; line < 1512; ++line)
+        walk.push_back(line);
+    const std::vector<Case> cases = {
+        {c.streamLoopOf("lbz", stream(overfill)), 1u << 1},
+        {c.streamLoopOf("lbz", stream(walk)), 1u << 1},
+        // Addresses 0 and 128: the start-up prefetch of line 1
+        // would fill a line the program reads.
+        {c.streamLoopOf("lbz", stream({0, 1})), 0u},
+    };
+    SimScratch scratch;
+    DecodedProgram dec;
+    int mismatches = 0;
+    for (const Case &k : cases) {
+        const CoreSimOptions base = c.options(c.firstPassLatency(3.0));
+        exec.decode(k.prog, base.mispredictPenalty,
+                    base.transitionGateNj, dec);
+        const AccessTrace trace = buildAccessTrace(dec, base, scratch);
+        EXPECT_EQ(trace.validWidths, k.widths) << k.prog.name;
+        for (int smt : {1, 2, 4}) {
+            SCOPED_TRACE(k.prog.name + " smt " + std::to_string(smt));
+            TraceUse use = TraceUse::Live;
+            CoreResult got =
+                simulateCoreDecoded(dec, smt, base, scratch, &trace, &use);
+            EXPECT_EQ(use, trace.validAt(smt) ? TraceUse::Traced
+                                              : TraceUse::Live);
+            mismatches += countMismatches(
+                got, reference::simulateCore(exec, k.prog, smt, base));
+        }
+    }
+    EXPECT_EQ(mismatches, 0);
+}
+
+TEST(CoreIdentity, ShortTraceOverflowsIntoTheLivePath)
+{
+    // A trace of fewer iterations is a prefix of the full one, so
+    // its levels are right; a simulation that runs past its end
+    // restarts on the cache hierarchy and still matches.
+    Corpus &c = corpus();
+    ExecModel exec(c.arch.isa());
+    SimScratch scratch;
+    DecodedProgram dec;
+    int overflowed = 0, mismatches = 0;
+    for (const Program &p : c.programs) {
+        const CoreSimOptions o = c.options(c.firstPassLatency(3.0));
+        exec.decode(p, o.mispredictPenalty, o.transitionGateNj, dec);
+        if (!walksStreams(dec))
+            continue;
+        CoreSimOptions short_opts = o;
+        short_opts.measureIters = 1;
+        const AccessTrace full = buildAccessTrace(dec, o, scratch);
+        const AccessTrace prefix = buildAccessTrace(dec, short_opts, scratch);
+        ASSERT_LT(prefix.accesses, full.accesses) << p.name;
+        for (size_t k = 0; k < prefix.accesses; ++k)
+            ASSERT_EQ(prefix.at(k), full.at(k)) << p.name << " access " << k;
+        for (int smt : {1, 2, 4}) {
+            SCOPED_TRACE(p.name + " smt " + std::to_string(smt));
+            TraceUse use = TraceUse::Live;
+            CoreResult got =
+                simulateCoreDecoded(dec, smt, o, scratch, &prefix, &use);
+            EXPECT_EQ(use, TraceUse::Overflowed);
+            overflowed += use == TraceUse::Overflowed;
+            mismatches += countMismatches(
+                got, reference::simulateCore(exec, p, smt, o));
+        }
+    }
+    EXPECT_GT(overflowed, 0);
+    EXPECT_EQ(mismatches, 0);
+}
+
 TEST(CoreIdentity, NonDefaultCacheGeometriesMatchReference)
 {
     // Hierarchies other than the default P7 one take the cache
     // model's other paths: an 8-way hierarchy small enough that the
-    // corpus's streams evict constantly, a 4-way 64 B-line one, and
-    // a direct-mapped one.
+    // corpus's streams evict constantly, a 4-way 64 B-line one, a
+    // direct-mapped one, and one with 1-byte lines. Each program
+    // runs live and, where its trace is valid, traced.
     Corpus &c = corpus();
     ExecModel exec(c.arch.isa());
     const std::vector<std::vector<CacheGeometry>> geometries = {
         {{8 * 1024, 8, 128}, {64 * 1024, 8, 128}, {512 * 1024, 8, 128}},
         {{16 * 1024, 4, 64}, {128 * 1024, 4, 64}, {1024 * 1024, 4, 64}},
         {{16 * 1024, 1, 128}, {128 * 1024, 1, 128}, {1024 * 1024, 1, 128}},
+        {{8 * 1024, 8, 1}, {64 * 1024, 8, 1}, {512 * 1024, 8, 1}},
     };
+    SimScratch scratch;
+    DecodedProgram dec;
     int sims = 0, mismatches = 0;
-    for (size_t gi = 0; gi < geometries.size(); ++gi)
+    for (size_t gi = 0; gi < geometries.size(); ++gi) {
+        int traced = 0;
         for (size_t pi = 0; pi < c.programs.size(); pi += 4) {
             const Program &p = c.programs[pi];
+            CoreSimOptions o = c.options(c.firstPassLatency(3.0));
+            o.cacheGeoms = geometries[gi];
+            exec.decode(p, o.mispredictPenalty, o.transitionGateNj, dec);
+            const AccessTrace trace = buildAccessTrace(dec, o, scratch);
             for (int smt : {1, 2, 4}) {
                 SCOPED_TRACE(p.name + " geometry " + std::to_string(gi) +
                              " smt " + std::to_string(smt));
-                CoreSimOptions o = c.options(c.firstPassLatency(3.0));
-                o.cacheGeoms = geometries[gi];
+                CoreResult want = reference::simulateCore(exec, p, smt, o);
+                mismatches +=
+                    countMismatches(simulateCore(exec, p, smt, o), want);
+                TraceUse use = TraceUse::Live;
                 mismatches += countMismatches(
-                    simulateCore(exec, p, smt, o),
-                    reference::simulateCore(exec, p, smt, o));
+                    simulateCoreDecoded(dec, smt, o, scratch, &trace, &use),
+                    want);
+                traced += use == TraceUse::Traced;
                 ++sims;
             }
         }
-    EXPECT_EQ(sims, 3 * 6 * 3);
+        EXPECT_GT(traced, 0) << "geometry " << gi;
+    }
+    EXPECT_EQ(sims, 4 * 6 * 3);
     EXPECT_EQ(mismatches, 0);
 }
 

@@ -2,8 +2,9 @@
  * @file
  * Tests for the drop-directory campaign service: spec ingestion,
  * several campaigns over one cache, streamed status and exports,
- * async submission while campaigns run, and survival of malformed
- * dropped specs.
+ * async submission while campaigns run, survival of malformed
+ * dropped specs, and specs written in place while the service
+ * scans.
  */
 
 #include <gtest/gtest.h>
@@ -180,10 +181,12 @@ TEST(Service, VddSweepExportMatchesStandaloneRun)
 TEST(Service, SurvivesMalformedSpec)
 {
     ServiceOptions opts = testOptions("malformed");
-    // An unknown category, a configuration the machine cannot run
-    // and a body size that would wrap to SIZE_MAX.
+    // An unknown category, a configuration the machine cannot run,
+    // a body size that would wrap to SIZE_MAX, and an empty file,
+    // which would parse as the full default Table-2 campaign.
     const char *const broken[][2] = {
         {"broken", "categories = no-such-category\n"},
+        {"empty", ""},
         {"badconfig", "categories = random\nrandom_count = 1\n"
                       "bootstrap = 0\nconfigs = 1-1,9-1\n"},
         {"badsize", "categories = random\nrandom_count = 1\n"
@@ -240,6 +243,33 @@ TEST(Service, IngestsSpecsWhileRunning)
     ASSERT_EQ(statuses.size(), 2u);
     EXPECT_TRUE(statuses[0].complete);
     EXPECT_TRUE(statuses[1].complete);
+}
+
+TEST(Service, IngestsASpecRewrittenBetweenScansOnceWithItsFinalText)
+{
+    // A client writes its spec in place, then rewrites it. The
+    // first scan sees the first text, the second scan sees the
+    // file changed, so only the final text, settled across two
+    // scans, is ingested; an idle service does not exit while the
+    // spec is unsettled. The rewrite lands 0.1 s into a 1 s scan
+    // interval.
+    ServiceOptions opts = testOptions("rewrite");
+    opts.pollSeconds = 1.0;
+    const std::string path = opts.dropDir + "/late.spec";
+    const std::string final_text = tinySpecText(3) + "# final\n";
+    writeFile(path, tinySpecText(2));
+
+    CampaignService service(opts);
+    size_t completed = 0;
+    std::thread runner([&]() { completed = service.run(); });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    writeFile(path, final_text);
+    runner.join();
+
+    EXPECT_EQ(completed, 1u);
+    ASSERT_EQ(service.statuses().size(), 1u);
+    EXPECT_EQ(readFile(opts.resultsDir + "/late/samples.csv"),
+              referenceCsv(final_text, "rewrite"));
 }
 
 TEST(ServiceDeath, MissingCacheDirFatalWithServiceMessage)

@@ -14,6 +14,7 @@
 #include <fstream>
 #include <iostream>
 
+#include "campaign/spec.hh"
 #include "microprobe/bootstrap.hh"
 #include "util/args.hh"
 #include "util/logging.hh"
@@ -43,9 +44,9 @@ main(int argc, char **argv)
     Machine machine = arch.machine();
 
     BootstrapOptions bo;
-    bo.bodySize = static_cast<size_t>(args.getInt("size"));
-    bo.config = ChipConfig{static_cast<int>(args.getInt("cores")),
-                           static_cast<int>(args.getInt("smt"))};
+    bo.bodySize = parseBodySize(args.get("size"), "--size");
+    bo.config = parseConfig(cat(args.get("cores"), "-", args.get("smt")),
+                            "--cores/--smt");
     auto entries = bootstrapArchitecture(arch, machine, bo);
     std::cerr << "characterized " << entries.size()
               << " instructions\n";

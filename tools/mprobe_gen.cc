@@ -11,6 +11,7 @@
 
 #include <iostream>
 
+#include "campaign/spec.hh"
 #include "microprobe/emitter.hh"
 #include "microprobe/passes.hh"
 #include "microprobe/synthesizer.hh"
@@ -61,8 +62,7 @@ main(int argc, char **argv)
         fatal("--data must be zero|pattern|random");
 
     Synthesizer synth(arch, parseUint64(args.get("seed"), "--seed"));
-    synth.addPass<SkeletonPass>(
-        static_cast<size_t>(args.getInt("size")));
+    synth.addPass<SkeletonPass>(parseBodySize(args.get("size"), "--size"));
     synth.addPass<InstructionMixPass>(cands);
     if (!args.get("mem").empty()) {
         auto f = split(args.get("mem"), ',');
@@ -80,7 +80,9 @@ main(int argc, char **argv)
         DependencyDistancePass::parse(args.get("dep"), "--dep")));
 
     Machine machine = arch.machine();
-    long count = args.getInt("count");
+    const long count = args.getInt("count");
+    if (count < 1)
+        fatal("--count must be >= 1");
     for (long i = 1; i <= count; ++i) {
         Program p = synth.synthesize();
         std::string path =

@@ -49,8 +49,7 @@ main(int argc, char **argv)
         parseConfigList(args.get("configs"), "--configs");
 
     Synthesizer synth(arch, parseUint64(args.get("seed"), "--seed"));
-    synth.addPass<SkeletonPass>(
-        static_cast<size_t>(args.getInt("size")));
+    synth.addPass<SkeletonPass>(parseBodySize(args.get("size"), "--size"));
     synth.addPass<InstructionMixPass>(
         arch.isa().candidates(args.get("class"), "--class"));
     synth.addPass<MemoryModelPass>(MemDistribution{1, 0, 0, 0});

@@ -7,8 +7,8 @@
  *
  *   mprobe-service --drop-dir specs --cache-dir pool \
  *                  --results-dir out
- *   # elsewhere, submit a campaign (renamed into place, so the
- *   # service never reads it half written):
+ *   # elsewhere, submit a campaign (renamed into place; a file
+ *   # written in place is read once two scans see it unchanged):
  *   cp sweep.spec specs/sweep.tmp && mv specs/sweep.tmp specs/sweep.spec
  *   # watch out/sweep/status.json, out/sweep/partial.csv, and
  *   # finally out/sweep/samples.csv
