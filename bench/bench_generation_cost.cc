@@ -12,7 +12,7 @@
  * cost is the quantity under measurement, and the campaign's result
  * cache would short-circuit exactly the code being timed. For the
  * same reason every timed iteration runs on a fresh Machine, built
- * outside the timed region: a reused machine's run() memo would
+ * outside the timed region: a reused machine's memo would
  * serve every iteration after the first.
  */
 
@@ -38,7 +38,7 @@ arch()
     return a;
 }
 
-/** A machine with an empty run() memo, built untimed. */
+/** A machine with an empty memo, built untimed. */
 Machine
 freshMachine(benchmark::State &state)
 {

@@ -195,9 +195,11 @@ JobExecutor::run(const CampaignJob &job, const Program &prog, Sample &out,
     auto id = jobIdentity(machine, job, prog.name);
     bool cached = cache.lookup(job.key, id, out);
     if (cached) {
-        obs::counter("cache_hits").add();
+        static obs::Counter &hits = obs::counter("cache_hits");
+        hits.add();
     } else {
-        obs::counter("cache_misses").add();
+        static obs::Counter &misses = obs::counter("cache_misses");
+        misses.add();
         if (batch && !*batch)
             batch->reset(new Machine::Batch(machine, prog));
         out = measure(job, prog, batch ? batch->get() : nullptr);
@@ -470,13 +472,14 @@ Campaign::runJobs(CampaignResult &res)
     std::atomic<int64_t> cached_cost_milli{0};
 
     // Batched execution: jobs sharing a workload and SMT mode form
-    // one group served by a decode-once Machine::Batch, whose
-    // core-simulation memo is shared across the group's core
-    // counts and frequencies (the core-level simulation depends
-    // only on the SMT mode and the effective memory latency; core
-    // count enters through counter scaling and the contention
-    // latency). Groups never span SMT modes because the memo
-    // cannot share across them.
+    // one group served by a decode-once Machine::Batch. Its core
+    // simulations come from the machine's memo, which every path
+    // and group shares (the core-level simulation depends only on
+    // the program, the SMT mode and the effective memory latency;
+    // core count enters through counter scaling and the contention
+    // latency). So groups exist for the one decode per group and
+    // for the per-group batch counters, which perfbench's replay
+    // mirrors.
     std::map<std::pair<size_t, int>, size_t> group_of;
     std::vector<std::vector<size_t>> groups;
     for (size_t i = 0; i < jobs.size(); ++i) {

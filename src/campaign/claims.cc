@@ -119,11 +119,13 @@ ClaimDir::tryAcquire(uint64_t key)
             return false;
     }
     ++nAcquired;
-    obs::counter("claims_acquired").add();
+    static obs::Counter &claims_acquired = obs::counter("claims_acquired");
+    claims_acquired.add();
     obs::traceInstant(stole ? "claim.steal" : "claim.acquire");
     if (stole) {
         ++nStolen;
-        obs::counter("claims_stolen").add();
+        static obs::Counter &claims_stolen = obs::counter("claims_stolen");
+        claims_stolen.add();
     }
     {
         MutexLock lock(heldMutex);

@@ -134,7 +134,7 @@ CampaignService::ingestSpec(const std::string &path)
         inform(cat("service: ingesting campaign '", name, "' (",
                    c->campaign.specRef().contentSummary(), ")"));
         c->result = c->campaign.expand(c->arch);
-        c->done.assign(c->result.jobs.size(), 0);
+        c->found.resize(c->result.jobs.size());
         const size_t jobs = c->result.jobs.size();
         {
             MutexLock lock(mutex);
@@ -255,17 +255,23 @@ CampaignService::updateStatus()
             continue;
         }
         // Progress is what the shared cache holds, whoever measured
-        // it.
+        // it. Each open job's entry is read until it passes its
+        // identity check, and its sample is kept: a finished job is
+        // read once.
         const std::vector<CampaignJob> &jobs = c.result.jobs;
         size_t claimed = 0;
         for (size_t j = 0; j < jobs.size(); ++j) {
-            if (!c.done[j]) {
-                if (cache.contains(jobs[j].key)) {
-                    c.done[j] = 1;
-                    ++c.doneCount;
-                } else if (claims.live(jobs[j].key)) {
-                    ++claimed;
-                }
+            if (c.found[j])
+                continue;
+            const CampaignJob &job = jobs[j];
+            const Program &prog = c.result.workloads[job.workload].program;
+            auto id = jobIdentity(c.machine, job, prog.name);
+            Sample s;
+            if (cache.peek(job.key, id, s)) {
+                c.found[j] = std::move(s);
+                ++c.doneCount;
+            } else if (claims.live(job.key)) {
+                ++claimed;
             }
         }
         if (c.doneCount != c.exportedDone) {
@@ -274,17 +280,9 @@ CampaignService::updateStatus()
             // can start model fitting before the campaign ends.
             std::vector<Sample> partial;
             partial.reserve(c.doneCount);
-            for (size_t j = 0; j < jobs.size(); ++j) {
-                if (!c.done[j])
-                    continue;
-                const CampaignJob &job = jobs[j];
-                const Program &prog =
-                    c.result.workloads[job.workload].program;
-                auto id = jobIdentity(c.machine, job, prog.name);
-                Sample s;
-                if (cache.peek(job.key, id, s))
-                    partial.push_back(std::move(s));
-            }
+            for (const std::optional<Sample> &s : c.found)
+                if (s)
+                    partial.push_back(*s);
             writeExports(campaignDir(c.name) + "/partial", partial);
             c.exportedDone = c.doneCount;
         }
@@ -322,6 +320,7 @@ CampaignService::measureLoop()
         const size_t jobs = c.result.jobs.size();
         {
             MutexLock lock(mutex);
+            c.found = {};
             c.doneCount = jobs;
             c.complete = true;
         }

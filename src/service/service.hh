@@ -43,6 +43,7 @@
 #include <filesystem>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -142,8 +143,9 @@ class CampaignService
         /** expand()'s workloads and jobs; the runner's measurement
          * fills in the samples. */
         CampaignResult result;
-        /** Per-job completion observed in the cache (watcher). */
-        std::vector<char> done;
+        /** Per-job sample, read from the cache the first time the
+         * watcher finds the job there with the job's identity. */
+        std::vector<std::optional<Sample>> found;
         size_t doneCount = 0;
         /** samples.csv/samples.json are written (runner). */
         bool complete = false;

@@ -11,6 +11,7 @@
 #include <map>
 #include <tuple>
 #include <type_traits>
+#include <utility>
 
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
@@ -51,7 +52,7 @@ namespace
 {
 
 /**
- * A fast digest over 8-byte words for the run() memo key: four
+ * A fast digest over 8-byte words for the memo key: four
  * independent multiply-rotate lanes (xxHash64's round). It hashes a
  * 2,048-instruction body ~16x faster than the byte-at-a-time
  * Hasher, which would cost a fifth of the body's SMT-1 simulation.
@@ -176,66 +177,20 @@ simOptionsDigest(const CoreSimOptions &o)
 } // namespace
 
 /**
- * The finished core simulations of run(), keyed by what a core
- * simulation is a pure function of (docs/MODEL.md, "The run()
- * memo"). Lookups and inserts hold the mutex; simulations never do.
- * Two threads that miss one key both simulate, and the second
- * insert is dropped: the two results are identical.
+ * The machine's core-simulation memo (docs/MODEL.md, "The
+ * core-simulation memo"). An entry is keyed by what a core
+ * simulation reads besides its SMT width and memory latency: the
+ * program's content digest and the options digest at memory latency
+ * 0. It holds the program's finished simulations by (SMT, latency)
+ * and, once one is due, a memory program's access trace. Entries are
+ * made by a program's first finished simulation, so a program
+ * simulated once at SMT 1 (a bootstrap probe, a search candidate)
+ * leaves only that mark and never pays for a trace. Lookups and
+ * inserts hold the mutex; simulations and trace builds never do. Two
+ * threads that miss one result both simulate, and the second insert
+ * is dropped: the two results are identical, as are two traces.
  */
-struct Machine::RunMemo
-{
-    struct Key
-    {
-        uint64_t program;
-        uint64_t options;
-        int smt;
-        int latMem;
-
-        bool
-        operator<(const Key &o) const
-        {
-            return std::tie(program, options, smt, latMem) <
-                   std::tie(o.program, o.options, o.smt, o.latMem);
-        }
-    };
-
-    bool
-    find(const Key &key, CoreResult &out)
-    {
-        MutexLock lock(mutex);
-        auto it = entries.find(key);
-        if (it == entries.end())
-            return false;
-        out = it->second;
-        return true;
-    }
-
-    void
-    insert(const Key &key, const CoreResult &core)
-    {
-        MutexLock lock(mutex);
-        if (entries.size() >= kRunMemoCap)
-            entries.clear();
-        entries.emplace(key, core);
-    }
-
-  private:
-    Mutex mutex;
-    std::map<Key, CoreResult> entries GUARDED_BY(mutex);
-};
-
-/**
- * Each memory program's access trace (docs/MODEL.md, "Access-level
- * traces"), keyed by the program's content digest and the options
- * digest at memory latency 0: the cache walk a trace records never
- * reads the latency. A program's first simulation at SMT 1 leaves
- * only a mark, so programs simulated once (bootstrap probes, search
- * candidates) never pay for a trace; its second simulation, or its
- * first at SMT 2 or 4, builds the trace outside the lock. Two
- * threads that miss one key both build, and the second insert is
- * dropped: the two traces are identical.
- */
-struct Machine::TraceMemo
+struct Machine::SimMemo
 {
     struct Key
     {
@@ -250,58 +205,106 @@ struct Machine::TraceMemo
         }
     };
 
-    /** The trace of @p key for a simulation at @p smt ways, made by
-     * @p build when it is due one; null before that. */
-    template <typename Build>
-    std::shared_ptr<const AccessTrace>
-    get(const Key &key, int smt, Build build)
+    /**
+     * Copy the finished simulation of @p key at (@p smt, @p lat_mem)
+     * into @p core. On a miss, @p trace gets the entry's trace, and
+     * @p trace_due says whether a trace is due: the program was
+     * simulated before, or this simulation runs at SMT 2 or 4.
+     */
+    bool
+    find(const Key &key, int smt, int lat_mem, CoreResult &core,
+         std::shared_ptr<const AccessTrace> &trace, bool &trace_due)
     {
-        {
-            MutexLock lock(mutex);
-            auto it = entries.find(key);
-            if (it != entries.end() && it->second)
-                return it->second;
-            if (it == entries.end() && smt < 2) {
-                insert(key, nullptr);
-                return nullptr;
-            }
-        }
-        auto trace = std::make_shared<const AccessTrace>(build());
         MutexLock lock(mutex);
-        insert(key, trace);
-        return trace;
+        auto it = entries.find(key);
+        trace_due = it != entries.end() || smt >= 2;
+        if (it == entries.end())
+            return false;
+        for (const Done &d : it->second.done)
+            if (d.smt == smt && d.latMem == lat_mem) {
+                core = d.core;
+                return true;
+            }
+        trace = it->second.trace;
+        return false;
     }
 
-  private:
-    /** Bytes charged for a key and its map node. */
-    static constexpr size_t kEntryBytes = 96;
-
+    /** Record @p core, and @p trace when the entry has none. */
     void
-    insert(const Key &key, std::shared_ptr<const AccessTrace> trace)
-        REQUIRES(mutex)
+    insert(const Key &key, int smt, int lat_mem, const CoreResult &core,
+           std::shared_ptr<const AccessTrace> trace)
     {
-        const size_t add = trace ? trace->bytes() : 0;
-        if (bytes + kEntryBytes + add > kTraceMemoCapBytes) {
+        MutexLock lock(mutex);
+        const size_t trace_bytes = trace ? trace->bytes() : 0;
+        // At most a new entry, a result and the trace.
+        const size_t most = kEntryBytes + sizeof(Done) + trace_bytes;
+        if (bytes + most > kSimMemoCapBytes) {
             entries.clear();
             bytes = 0;
         }
-        auto [it, fresh] = entries.emplace(key, nullptr);
+        auto [it, fresh] = entries.try_emplace(key);
+        Entry &e = it->second;
         if (fresh)
             bytes += kEntryBytes;
-        if (!it->second && trace) {
-            it->second = std::move(trace);
-            bytes += add;
+        if (!e.trace && trace) {
+            e.trace = std::move(trace);
+            bytes += trace_bytes;
         }
+        for (const Done &d : e.done)
+            if (d.smt == smt && d.latMem == lat_mem)
+                return;
+        e.done.push_back({smt, lat_mem, core});
+        bytes += sizeof(Done);
     }
 
+  private:
+    /** One finished core simulation. */
+    struct Done
+    {
+        int smt;
+        int latMem;
+        CoreResult core;
+    };
+    struct Entry
+    {
+        /** A handful of (SMT, latency) pairs: three SMT modes, times
+         * the swept and contended latencies; a linear scan beats any
+         * map. */
+        std::vector<Done> done;
+        std::shared_ptr<const AccessTrace> trace;
+    };
+    /** Bytes charged for a key, its entry and its map node. */
+    static constexpr size_t kEntryBytes = 96;
+
     Mutex mutex;
-    std::map<Key, std::shared_ptr<const AccessTrace>> entries
-        GUARDED_BY(mutex);
+    std::map<Key, Entry> entries GUARDED_BY(mutex);
     size_t bytes GUARDED_BY(mutex) = 0;
+};
+
+/** A program on its way through the run sequence. */
+struct Machine::Subject
+{
+    const Program &prog;
+    SimMemo::Key key;
+    /** The decode, made on the first memo miss when not ready. */
+    DecodedProgram &decoded;
+    bool decodedReady;
+    /** A Batch's requested (SMT, latency) pairs; null for run(). */
+    std::vector<std::pair<int, int>> *requested;
 };
 
 namespace
 {
+
+/** The options half of a memo key: simOptionsDigest at memory
+ * latency 0. A core simulation reads the effective latency, which
+ * an entry keys its results by, never the configured one. */
+uint64_t
+memoOptionsDigest(CoreSimOptions opts)
+{
+    opts.memLatency = 0;
+    return simOptionsDigest(opts);
+}
 
 /** Register the access-trace counters, so a run that replays or
  * overflows no trace still reports them, as 0. */
@@ -325,8 +328,7 @@ walksStreams(const DecodedProgram &dec)
 
 Machine::Machine(const Isa &isa, const GroundTruthParams &p)
     : isaPtr(&isa), exec(isa), params(p),
-      runMemo(std::make_shared<RunMemo>()),
-      traceMemo(std::make_shared<TraceMemo>())
+      memo(std::make_shared<SimMemo>())
 {
     registerTraceCounters();
 }
@@ -335,8 +337,7 @@ Machine::Machine(const Isa &isa,
                  const std::vector<CacheGeometry> &geoms,
                  double clock_ghz, const GroundTruthParams &p)
     : isaPtr(&isa), exec(isa), params(p),
-      runMemo(std::make_shared<RunMemo>()),
-      traceMemo(std::make_shared<TraceMemo>())
+      memo(std::make_shared<SimMemo>())
 {
     registerTraceCounters();
     params.clockGhz = clock_ghz;
@@ -402,10 +403,10 @@ mixFreqSeed(uint64_t seed, double freq_ghz, double nominal_ghz)
 }
 
 /**
- * The calling thread's simulator scratch, shared by run() and every
- * Batch the thread drives. Each simulation resets its arena and
- * resets, not rebuilds, its cache hierarchy, so a worker thread
- * builds one hierarchy, not one per Batch.
+ * The calling thread's simulator scratch, on which every core
+ * simulation and trace build of the thread runs. Each simulation
+ * resets its arena and resets, not rebuilds, its cache hierarchy, so
+ * a worker thread builds one hierarchy, not one per program.
  */
 SimScratch &
 threadScratch()
@@ -441,9 +442,21 @@ Machine::run(const Program &prog, const ChipConfig &cfg,
     return run(prog, cfg, operatingPoint(), salt);
 }
 
-void
-Machine::validateRun(const Program &prog, const ChipConfig &cfg,
-                     const OperatingPoint &op) const
+RunResult
+Machine::run(const Program &prog, const ChipConfig &cfg,
+             const OperatingPoint &op, uint64_t salt) const
+{
+    // A memo miss decodes, at most once per call, into thread-local
+    // scratch that keeps steady-state simulation allocation-free.
+    thread_local DecodedProgram decoded;
+    const SimMemo::Key key{programDigest(prog), memoOptionsDigest(simOpts)};
+    Subject s{prog, key, decoded, false, nullptr};
+    return runSequence(s, cfg, op, salt);
+}
+
+RunResult
+Machine::runSequence(Subject &s, const ChipConfig &cfg,
+                     const OperatingPoint &op, uint64_t salt) const
 {
     if (!cfg.valid())
         fatal(cat("bad configuration ", cfg.label(),
@@ -451,87 +464,94 @@ Machine::validateRun(const Program &prog, const ChipConfig &cfg,
     if (op.freqGhz <= 0.0 || op.voltage <= 0.0)
         fatal(cat("bad operating point ", op.freqGhz, " GHz @ ",
                   op.voltage, " V"));
-    if (prog.isa != isaPtr)
-        fatal(cat("program '", prog.name,
+    if (s.prog.isa != isaPtr)
+        fatal(cat("program '", s.prog.name,
                   "' was generated for a different ISA"));
-}
-
-int
-Machine::firstPassMemLatency(double lat_scale) const
-{
-    return std::max(
-        1, static_cast<int>(
-               std::lround(simOpts.memLatency * lat_scale)));
-}
-
-int
-Machine::contendedMemLatency(const CoreResult &core,
-                             const ChipConfig &cfg,
-                             double lat_scale) const
-{
-    // Shared-memory contention: when several cores stream from
-    // memory, the effective latency grows with aggregate demand.
-    double mem_per_cycle =
-        core.window.cycles > 0
-            ? core.window.memAcc / core.window.cycles
-            : 0.0;
-    if (cfg.cores <= 1 || mem_per_cycle <= 1e-3)
-        return 0;
-    double factor = 1.0 + params.memContentionK * mem_per_cycle *
-                              (cfg.cores - 1);
-    // Scales the machine's configured latency, like the first pass:
-    // contention must never make a raised latency faster.
-    return std::max(
-        1, static_cast<int>(std::lround(
-               simOpts.memLatency * lat_scale * factor)));
-}
-
-RunResult
-Machine::run(const Program &prog, const ChipConfig &cfg,
-             const OperatingPoint &op, uint64_t salt) const
-{
-    validateRun(prog, cfg, op);
-
-    // A core simulation is a pure function of the program's
-    // content, the SMT width, the effective memory latency and the
-    // simulation options, so run() calls share finished ones
-    // through the machine's memo (the 8 core counts of one SMT
-    // mode, a repeated design point, a re-measured job). A miss
-    // decodes, at most once per call, into thread-local scratch
-    // that keeps steady-state simulation allocation-free, and
-    // simulates outside the memo's lock.
-    thread_local DecodedProgram decoded;
-    bool have_decode = false;
-    const uint64_t prog_digest = programDigest(prog);
-    const uint64_t opts_digest = simOptionsDigest(simOpts);
-    auto simAt = [&](int lat_mem) {
-        const RunMemo::Key key{prog_digest, opts_digest, cfg.smt, lat_mem};
-        CoreResult core;
-        if (runMemo->find(key, core)) {
-            obs::counter("run_memo_hits").add();
-            return core;
-        }
-        if (!have_decode) {
-            decodeTraced(prog, decoded);
-            have_decode = true;
-        }
-        obs::counter("run_core_sims").add();
-        core = simulateTraced(decoded, prog_digest, cfg.smt, lat_mem);
-        runMemo->insert(key, core);
-        return core;
-    };
 
     // Main-memory latency is fixed in nanoseconds; its cycle count
     // follows the core clock. Core/cache latencies are clock-domain
     // cycles and stay put. lat_scale is exactly 1.0 at the nominal
     // point, so the pre-DVFS path is reproduced bit for bit. The
     // first pass runs at the uncontended memory latency.
-    double lat_scale = op.freqGhz / params.clockGhz;
-    CoreResult core = simAt(firstPassMemLatency(lat_scale));
-    int contended = contendedMemLatency(core, cfg, lat_scale);
-    if (contended > 0)
-        core = simAt(contended);
-    return finishRun(prog, cfg, op, salt, core);
+    auto cycles = [](double latency) {
+        return std::max(1, static_cast<int>(std::lround(latency)));
+    };
+    const double lat_scale = op.freqGhz / params.clockGhz;
+    const double lat = simOpts.memLatency * lat_scale;
+    CoreResult core = coreAt(s, cfg.smt, cycles(lat));
+    // Shared-memory contention: when several cores stream from
+    // memory, the effective latency grows with aggregate demand, and
+    // the core simulation reruns at it. It scales the machine's
+    // configured latency, like the first pass: contention must never
+    // make a raised latency faster.
+    double mem_per_cycle =
+        core.window.cycles > 0
+            ? core.window.memAcc / core.window.cycles
+            : 0.0;
+    double factor = 1.0 + params.memContentionK * mem_per_cycle *
+                              (cfg.cores - 1);
+    if (cfg.cores > 1 && mem_per_cycle > 1e-3)
+        core = coreAt(s, cfg.smt, cycles(lat * factor));
+    return finishRun(s.prog, cfg, op, salt, core);
+}
+
+CoreResult
+Machine::coreAt(Subject &s, int smt, int lat_mem) const
+{
+    if (s.requested) {
+        // A Batch counts its requests by (SMT, latency) pair,
+        // whatever the memo serves them from.
+        std::vector<std::pair<int, int>> &r = *s.requested;
+        const std::pair<int, int> pair{smt, lat_mem};
+        if (std::find(r.begin(), r.end(), pair) != r.end()) {
+            static obs::Counter &repeats = obs::counter("batch_memo_hits");
+            repeats.add();
+        } else {
+            static obs::Counter &firsts = obs::counter("batch_core_sims");
+            firsts.add();
+            r.push_back(pair);
+        }
+    }
+    CoreResult hit;
+    std::shared_ptr<const AccessTrace> trace;
+    bool trace_due = false;
+    if (memo->find(s.key, smt, lat_mem, hit, trace, trace_due)) {
+        static obs::Counter &hits = obs::counter("run_memo_hits");
+        hits.add();
+        return hit;
+    }
+    if (!s.decodedReady) {
+        decodeTraced(s.prog, s.decoded);
+        s.decodedReady = true;
+    }
+    static obs::Counter &sims = obs::counter("run_core_sims");
+    sims.add();
+    SimScratch &scratch = threadScratch();
+    obs::TraceSpan span("sim.core");
+    span.note("smt", smt);
+    span.note("lat_mem", lat_mem);
+    CoreSimOptions opts = simOpts;
+    opts.memLatency = lat_mem;
+    if (!trace && trace_due && walksStreams(s.decoded)) {
+        static obs::Counter &builds = obs::counter("trace_builds");
+        builds.add();
+        AccessTrace built = buildAccessTrace(s.decoded, opts, scratch);
+        trace = std::make_shared<const AccessTrace>(std::move(built));
+    }
+    TraceUse use = TraceUse::Live;
+    CoreResult core =
+        simulateCoreDecoded(s.decoded, smt, opts, scratch, trace.get(), &use);
+    if (use == TraceUse::Traced) {
+        static obs::Counter &traced = obs::counter("core_sims_traced");
+        traced.add();
+    } else if (use == TraceUse::Overflowed) {
+        static obs::Counter &overflows = obs::counter("trace_overflows");
+        overflows.add();
+    }
+    static obs::Gauge &arena_high = obs::gauge("arena_high_water_bytes");
+    arena_high.max(static_cast<double>(scratch.arena.capacityBytes()));
+    memo->insert(s.key, smt, lat_mem, core, std::move(trace));
+    return core;
 }
 
 RunResult
@@ -599,74 +619,19 @@ Machine::decodeTraced(const Program &prog, DecodedProgram &out) const
                 simOpts.transitionGateNj, out);
 }
 
-CoreResult
-Machine::simulateTraced(const DecodedProgram &dec, uint64_t prog_digest,
-                        int smt, int lat_mem) const
-{
-    SimScratch &scratch = threadScratch();
-    obs::TraceSpan span("sim.core");
-    span.note("smt", smt);
-    span.note("lat_mem", lat_mem);
-    CoreSimOptions opts = simOpts;
-    std::shared_ptr<const AccessTrace> trace;
-    if (walksStreams(dec)) {
-        opts.memLatency = 0;
-        trace = traceMemo->get(
-            {prog_digest, simOptionsDigest(opts)}, smt, [&]() {
-                obs::counter("trace_builds").add();
-                return buildAccessTrace(dec, opts, scratch);
-            });
-    }
-    opts.memLatency = lat_mem;
-    TraceUse use = TraceUse::Live;
-    CoreResult core =
-        simulateCoreDecoded(dec, smt, opts, scratch, trace.get(), &use);
-    if (use == TraceUse::Traced)
-        obs::counter("core_sims_traced").add();
-    else if (use == TraceUse::Overflowed)
-        obs::counter("trace_overflows").add();
-    obs::gauge("arena_high_water_bytes")
-        .max(static_cast<double>(scratch.arena.capacityBytes()));
-    return core;
-}
-
 Machine::Batch::Batch(const Machine &machine, const Program &p)
     : m(machine), prog(p), digest(programDigest(p))
 {
     m.decodeTraced(p, decoded);
 }
 
-const CoreResult &
-Machine::Batch::simAt(int smt, int lat_mem)
-{
-    // A batch visits only a handful of distinct (smt, latency)
-    // pairs (three SMT modes at nominal frequency, plus one entry
-    // per distinct swept/contended latency), so a linear scan
-    // beats any map.
-    for (const MemoEntry &e : memo)
-        if (e.smt == smt && e.latMem == lat_mem) {
-            obs::counter("batch_memo_hits").add();
-            return e.core;
-        }
-    obs::counter("batch_core_sims").add();
-    CoreResult core = m.simulateTraced(decoded, digest, smt, lat_mem);
-    memo.push_back({smt, lat_mem, core});
-    return memo.back().core;
-}
-
 RunResult
 Machine::Batch::run(const ChipConfig &cfg, const OperatingPoint &op,
                     uint64_t salt)
 {
-    m.validateRun(prog, cfg, op);
-
-    double lat_scale = op.freqGhz / m.params.clockGhz;
-    const CoreResult *core =
-        &simAt(cfg.smt, m.firstPassMemLatency(lat_scale));
-    int contended = m.contendedMemLatency(*core, cfg, lat_scale);
-    if (contended > 0)
-        core = &simAt(cfg.smt, contended);
-    return m.finishRun(prog, cfg, op, salt, *core);
+    const SimMemo::Key key{digest, memoOptionsDigest(m.simOpts)};
+    Subject s{prog, key, decoded, true, &requested};
+    return m.runSequence(s, cfg, op, salt);
 }
 
 uint64_t

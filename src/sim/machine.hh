@@ -21,6 +21,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "dvfs/op_point.hh"
 #include "sim/core.hh"
@@ -161,17 +162,17 @@ struct RunResult
  *
  * Thread safety: run() and idleWatts() are const, and concurrent
  * calls on one Machine from campaign worker threads are safe as
- * long as nobody mutates simOptions() concurrently. run() shares
- * finished core simulations through a mutex-guarded memo (copies of
- * a Machine share it too); it never simulates under the lock, and
- * its key covers the program's content, the SMT mode, the effective
- * memory latency and every simOptions() field, so a hit returns
- * exactly what a fresh simulation would. A second mutex-guarded
- * memo, shared the same way, holds each memory program's access
- * trace under the same key without the SMT mode and the latency;
- * run() and every Batch replay it where it is valid, which changes
- * no result bit. Results depend only on (program, config, salt), so
- * a parallel campaign reproduces a serial one exactly.
+ * long as nobody mutates simOptions() concurrently. Every core
+ * simulation, from run() or a Batch, goes through one mutex-guarded
+ * memo that copies of a Machine share (docs/MODEL.md, "The
+ * core-simulation memo"). An entry is keyed by the program's content
+ * and every simOptions() field but the configured memory latency; it
+ * holds the program's finished core simulations by SMT mode and
+ * effective memory latency, and a memory program's access trace,
+ * replayed where it is valid. The memo never simulates under its
+ * lock, and a hit returns exactly what a fresh simulation would.
+ * Results depend only on (program, config, salt), so a parallel
+ * campaign reproduces a serial one exactly.
  */
 class Machine
 {
@@ -216,32 +217,22 @@ class Machine
                   const OperatingPoint &op, uint64_t salt = 0) const;
 
     /**
-     * Entries run()'s memo holds before it is cleared (~3 MB). A
-     * Table-2 campaign through --serve holds about 1,900.
+     * Bytes the core-simulation memo holds before it is cleared.
+     * Every entry is charged at least one CoreResult. A Table-2
+     * campaign, plain or through --serve, holds about 0.5 MB.
      */
-    static constexpr size_t kRunMemoCap = 16384;
+    static constexpr size_t kSimMemoCapBytes = 16 << 20;
 
     /**
-     * Bytes the access-trace memo holds before it is cleared. A
-     * sweep or Table-2 campaign holds well under 1 MB.
-     */
-    static constexpr size_t kTraceMemoCapBytes = 16 << 20;
-
-    /**
-     * Decode-once batched evaluator: decodes one program on
-     * construction and serves run() calls for any number of
-     * CMP/SMT x operating-point requests over the decoded form,
-     * memoizing core simulations that only differ in core count
-     * (the core-level simulation depends on the SMT mode and the
-     * effective memory latency alone — core count enters through
-     * counter scaling and the contention latency). Results are
-     * bit-identical to per-job Machine::run, which runs the same
-     * engine and shares simulations through the machine's memo;
-     * a Batch keeps its own memo, local to its one program. It
-     * simulates on the calling thread's scratch (arena and cache
-     * hierarchy), which run() and the thread's other Batches
-     * share, so a Batch holds no simulator state of its own. Not
-     * thread-safe; one Batch per worker thread.
+     * Decode-once handle on one program: decodes it on construction
+     * and serves run() for any number of CMP/SMT x operating-point
+     * requests. It runs run()'s sequence over the decoded form, so
+     * every core simulation comes from, or goes into, the machine's
+     * memo, and results are bit-identical to Machine::run. A Batch
+     * stores no result: it records the (SMT, memory latency) pairs
+     * it has requested, for its counters. A first request counts in
+     * batch_core_sims and a repeat in batch_memo_hits, whatever the
+     * memo served. Not thread-safe; one Batch per worker thread.
      */
     class Batch
     {
@@ -252,24 +243,16 @@ class Machine
         RunResult run(const ChipConfig &cfg,
                       const OperatingPoint &op, uint64_t salt = 0);
 
-        /** Distinct core simulations performed so far (tests). */
-        size_t simCount() const { return memo.size(); }
+        /** Distinct (SMT, memory latency) pairs requested so far. */
+        size_t simCount() const { return requested.size(); }
 
       private:
         const Machine &m;
         const Program &prog;
-        DecodedProgram decoded;
-        /** Content digest of prog, the trace memo's key. */
+        /** Content digest of prog, half of its memo key. */
         uint64_t digest;
-        struct MemoEntry
-        {
-            int smt;
-            int latMem;
-            CoreResult core;
-        };
-        std::vector<MemoEntry> memo;
-
-        const CoreResult &simAt(int smt, int lat_mem);
+        DecodedProgram decoded;
+        std::vector<std::pair<int, int>> requested;
     };
 
     /** Sensor reading with no workload: workload-independent power. */
@@ -314,12 +297,12 @@ class Machine
     ExecModel exec;
     GroundTruthParams params;
     CoreSimOptions simOpts;
-    /** Finished core simulations shared by run() (machine.cc). */
-    struct RunMemo;
-    std::shared_ptr<RunMemo> runMemo;
-    /** Access traces shared by run() and Batch (machine.cc). */
-    struct TraceMemo;
-    std::shared_ptr<TraceMemo> traceMemo;
+    /** Finished core simulations and access traces, shared by
+     * run() and every Batch (machine.cc). */
+    struct SimMemo;
+    std::shared_ptr<SimMemo> memo;
+    /** A program on its way through the run sequence (machine.cc). */
+    struct Subject;
 
     double staticCmpWatts(int cores) const;
     double sensorize(double watts, uint64_t seed) const;
@@ -327,31 +310,20 @@ class Machine
      * @p freq_ghz for a workload running at @p core_ipc. */
     double vminAt(double freq_ghz, double core_ipc) const;
 
-    /** Shared head of every run variant: argument validation. */
-    void validateRun(const Program &prog, const ChipConfig &cfg,
-                     const OperatingPoint &op) const;
-    /** First-pass (uncontended) memory latency at @p lat_scale. */
-    int firstPassMemLatency(double lat_scale) const;
-    /**
-     * Contention-adjusted memory latency for a rerun, or 0 when
-     * the first-pass result needs none.
-     */
-    int contendedMemLatency(const CoreResult &core,
-                            const ChipConfig &cfg,
-                            double lat_scale) const;
+    /** The run sequence of run() and Batch::run: validation, the
+     * first pass, the contended rerun and finishRun. */
+    RunResult runSequence(Subject &s, const ChipConfig &cfg,
+                          const OperatingPoint &op, uint64_t salt) const;
+    /** The core simulation of @p s at (@p smt, @p lat_mem): from the
+     * memo, or simulated on the calling thread's scratch, replaying
+     * the program's access trace where it is valid, traced as
+     * sim.core, and put in the memo. */
+    CoreResult coreAt(Subject &s, int smt, int lat_mem) const;
     /** Decode @p prog for this machine's options, traced as
      * sim.decode. */
     void decodeTraced(const Program &prog, DecodedProgram &out) const;
-    /** One core simulation of @p dec (the decode of the program
-     * whose content digest is @p prog_digest) at (@p smt,
-     * @p lat_mem) on the calling thread's scratch, replaying the
-     * program's access trace where it is valid, traced as
-     * sim.core. */
-    CoreResult simulateTraced(const DecodedProgram &dec,
-                              uint64_t prog_digest, int smt,
-                              int lat_mem) const;
-    /** Shared tail of every run variant: power composition and
-     * sensor readout from a finished core simulation. */
+    /** Power composition and sensor readout from a finished core
+     * simulation. */
     RunResult finishRun(const Program &prog, const ChipConfig &cfg,
                         const OperatingPoint &op, uint64_t salt,
                         const CoreResult &core) const;

@@ -3,7 +3,7 @@
  * Tests for the decode-once batched execution engine: the arena
  * allocator, Machine::Batch bit-identity against per-run
  * Machine::run, the exactness of the core-simulation memo that
- * Machine::run shares across calls, and campaigns routed through
+ * Machine::run and every Batch share, and campaigns routed through
  * the batched path. The core simulator itself is checked against
  * the reference loop in test_core_identity.
  */
@@ -128,6 +128,17 @@ sampleFileCount(const std::string &dir)
     return n;
 }
 
+/** A run on a machine built for the one call, whose memo no other
+ * call's entry can reach. */
+RunResult
+freshRun(const Program &p, const ChipConfig &cfg, double freq_ghz = 0.0,
+         uint64_t salt = 0, const CoreSimOptions &opts = CoreSimOptions())
+{
+    Machine m(isa);
+    m.simOptions() = opts;
+    return m.run(p, cfg, m.operatingPoint(freq_ghz), salt);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -178,7 +189,9 @@ TEST(SimArena, GrowsAcrossChunksKeepingOldPointersValid)
 }
 
 // ---------------------------------------------------------------
-// Machine::Batch vs per-run Machine::run
+// Machine::Batch vs per-run Machine::run. The reference runs come
+// from fresh machines: on the Batch's own machine they would share
+// its memo and compare it with itself.
 
 TEST(Batch, MatchesPerRunOnEveryConfig)
 {
@@ -190,7 +203,7 @@ TEST(Batch, MatchesPerRunOnEveryConfig)
         OperatingPoint op = m.operatingPoint(f);
         std::vector<RunResult> ref;
         for (const ChipConfig &cfg : ChipConfig::all())
-            ref.push_back(m.run(p, cfg, op, salt));
+            ref.push_back(freshRun(p, cfg, f, salt));
         Machine::Batch batch(m, p);
         auto cfgs = ChipConfig::all();
         for (size_t i = 0; i < cfgs.size(); ++i) {
@@ -200,8 +213,8 @@ TEST(Batch, MatchesPerRunOnEveryConfig)
                              ref[i]);
         }
         // 24 configs span only 3 SMT modes; without memory
-        // accesses there is no contention rerun, so the memo
-        // holds one core simulation per mode.
+        // accesses there is no contention rerun, so the Batch
+        // requests one core simulation per mode.
         EXPECT_EQ(batch.simCount(), 3u);
     }
 }
@@ -218,7 +231,7 @@ TEST(Batch, MatchesPerRunWithMemoryContention)
         OperatingPoint op = m.operatingPoint(f);
         std::vector<RunResult> ref;
         for (const ChipConfig &cfg : cfgs)
-            ref.push_back(m.run(p, cfg, op, salt));
+            ref.push_back(freshRun(p, cfg, f, salt));
         Machine::Batch batch(m, p);
         for (size_t i = 0; i < cfgs.size(); ++i) {
             SCOPED_TRACE(cfgs[i].label() + " @ " +
@@ -244,7 +257,7 @@ TEST(Batch, MixedRequestsMatchPerRun)
             SCOPED_TRACE(cfg.label() + " @ " + std::to_string(f));
             OperatingPoint op = m.operatingPoint(f);
             expectSameResult(batch.run(cfg, op, salt),
-                             m.run(p, cfg, op, salt));
+                             freshRun(p, cfg, f, salt));
             ++salt;
         }
 }
@@ -265,9 +278,10 @@ TEST(Batch, ReuseAcrossRunsIsIdentical)
 
 TEST(Batch, NominalOperatingPointCollapses)
 {
-    Machine m(isa);
     Program p = loopOf("xvmaddadp", 256, 0);
-    RunResult nominal = m.run(p, {6, 2}, 42); // two-arg nominal
+    Machine ref(isa);
+    RunResult nominal = ref.run(p, {6, 2}, 42); // two-arg nominal
+    Machine m(isa);
     Machine::Batch batch(m, p);
     // Explicit nominal operating point through the batched
     // engine: bit-identical to the two-argument nominal run, so
@@ -278,21 +292,13 @@ TEST(Batch, NominalOperatingPointCollapses)
 }
 
 // ---------------------------------------------------------------
-// The run() memo: Machine::run shares finished core simulations
-// across calls. Every test compares with a machine built for the
-// one call (freshRun), which no earlier call's entry can reach.
+// The core-simulation memo: Machine::run and every Batch share
+// finished core simulations. Every test compares with a machine
+// built for the one call (freshRun), which no earlier call's entry
+// can reach.
 
 namespace
 {
-
-RunResult
-freshRun(const Program &p, const ChipConfig &cfg, double freq_ghz = 0.0,
-         uint64_t salt = 0, const CoreSimOptions &opts = CoreSimOptions())
-{
-    Machine m(isa);
-    m.simOptions() = opts;
-    return m.run(p, cfg, m.operatingPoint(freq_ghz), salt);
-}
 
 uint64_t
 memoHits()
@@ -304,6 +310,12 @@ uint64_t
 memoSims()
 {
     return obs::counter("run_core_sims").value();
+}
+
+uint64_t
+batchSims()
+{
+    return obs::counter("batch_core_sims").value();
 }
 
 } // namespace
@@ -495,6 +507,47 @@ TEST(RunMemo, EightThreadsMatchSerialFreshRuns)
     }
 }
 
+TEST(RunMemo, ABatchIsServedWhatRunSimulated)
+{
+    // The generation searches measure a program at 1-1 through
+    // run(); a campaign's Batch for the same content then simulates
+    // nothing at SMT 1. A compute loop needs no contention rerun.
+    const Program p = loopOf("mulld", 256, 1);
+    const uint64_t salt = 21;
+    Machine m(isa);
+    m.run(p, {1, 1});
+    const uint64_t hits = memoHits(), sims = memoSims();
+    const uint64_t batch_sims = batchSims();
+    Machine::Batch batch(m, p);
+    RunResult r = batch.run({8, 1}, m.operatingPoint(), salt);
+    EXPECT_EQ(memoSims(), sims);
+    EXPECT_EQ(memoHits(), hits + 1);
+    // The Batch still counts its first request of the pair.
+    EXPECT_EQ(batchSims(), batch_sims + 1);
+    EXPECT_EQ(batch.simCount(), 1u);
+    expectSameResult(r, freshRun(p, {8, 1}, 0.0, salt));
+}
+
+TEST(RunMemo, RunIsServedWhatABatchSimulated)
+{
+    // A memory loop on 4 cores: the first pass and the contended
+    // rerun both come from the Batch's simulations.
+    const Program p = memLoop(HitLevel::Mem);
+    const ChipConfig cfg{4, 2};
+    Machine m(isa);
+    Machine::Batch batch(m, p);
+    const uint64_t sims = memoSims();
+    RunResult from_batch = batch.run(cfg, m.operatingPoint(2.5), 4);
+    EXPECT_EQ(batch.simCount(), 2u);
+    EXPECT_EQ(memoSims(), sims + 2);
+    const uint64_t hits = memoHits();
+    RunResult from_run = m.run(p, cfg, m.operatingPoint(2.5), 5);
+    EXPECT_EQ(memoSims(), sims + 2);
+    EXPECT_EQ(memoHits(), hits + 2);
+    expectSameResult(from_batch, freshRun(p, cfg, 2.5, 4));
+    expectSameResult(from_run, freshRun(p, cfg, 2.5, 5));
+}
+
 TEST(TraceMemo, ProgramsSimulatedOnceAtSmt1BuildNoTrace)
 {
     // A memory program gets an access trace at its first simulation
@@ -540,7 +593,9 @@ TEST(RunMemo, ClearingAtTheCapKeepsResultsExact)
         return p;
     };
     const ChipConfig cfg{1, 1};
-    const size_t n = Machine::kRunMemoCap + 64;
+    // Every entry is charged at least its one CoreResult, so this
+    // many programs reach the cap.
+    const size_t n = Machine::kSimMemoCapBytes / sizeof(CoreResult) + 64;
 
     Machine m(isa);
     for (size_t i = 0; i < n; ++i) {

@@ -475,12 +475,15 @@ TEST(TracedCampaign, SpansPresentAndExportsByteIdentical)
     Architecture arch = Architecture::get("POWER7");
     Machine machine{arch.isa()};
 
-    // Reference run: tracing never enabled.
+    // Reference run: tracing never enabled. It runs on a machine of
+    // its own, whose core-simulation memo the traced run cannot
+    // reach, so that run simulates cold too.
     obs::traceReset();
     obs::metricsReset();
     CampaignSpec spec = tinySpec();
     spec.cacheDir = freshCacheDir("untraced");
-    Campaign untraced(machine, spec);
+    Machine ref_machine{arch.isa()};
+    Campaign untraced(ref_machine, spec);
     CampaignResult ref = untraced.run(arch);
     std::ostringstream ref_csv, ref_json;
     exportSamplesCsv(ref_csv, ref.samples);
